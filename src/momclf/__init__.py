@@ -15,7 +15,6 @@ integer reproduces its output bit for bit across platforms.
 from momclf.data import (
     Dataset,
     Partition,
-    Sample,
     generate_gaussians,
     generate_moons,
     generate_toy,
@@ -24,7 +23,13 @@ from momclf.data import (
     write_csv,
 )
 from momclf.losses import LossKind, loss_grad_score, loss_value
-from momclf.mom import BlockMeans, block_means, median_block_index, mom_estimate
+from momclf.mom import (
+    BlockMeans,
+    block_means,
+    median_block_index,
+    median_index,
+    mom_estimate,
+)
 from momclf.model import (
     KernelModel,
     KernelSpec,

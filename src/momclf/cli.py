@@ -210,9 +210,10 @@ def _train_options(args) -> dict:
 
 def _cmd_train(args) -> int:
     opts = _train_options(args)
+    if args.trace is not None and opts["algo"] == "erm-logistic":
+        raise ValueError(f"{opts['algo']} does not record a selection trace")
     ds = load_csv(args.data, _parse_label_column(args.label_column))
     schedule = StepSchedule(kind=opts["schedule"], eta0=opts["eta0"])
-    trace = None
     if opts["algo"] in ("mom-logistic", "mom-hinge"):
         loss = LossKind.LOGISTIC if opts["algo"] == "mom-logistic" else LossKind.HINGE
         cfg = MomGdConfig(k=opts["k"], t=opts["t"], schedule=schedule, loss=loss,
@@ -237,8 +238,6 @@ def _cmd_train(args) -> int:
         fh.write(model_to_json(model))
     print(f"trained {opts['algo']} on {ds.n} samples -> {args.model}")
     if args.trace is not None:
-        if trace is None or not trace.steps:
-            raise ValueError(f"{args.algo} does not record a selection trace")
         trace.to_jsonl(args.trace)
         print(f"trace -> {args.trace}")
     return 0

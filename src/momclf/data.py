@@ -26,18 +26,6 @@ class CsvLabelError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One observation: features in R^p, label in {-1,+1}, optional truth flag.
-
-    ``is_outlier`` is evaluation metadata only; nothing in training reads it.
-    """
-
-    x: np.ndarray
-    y: float
-    is_outlier: bool | None = None
-
-
-@dataclass(frozen=True)
 class Dataset:
     """An ordered sample of labeled points held as dense arrays.
 
@@ -85,10 +73,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, i: int) -> Sample:
-        flag = None if self.is_outlier is None else bool(self.is_outlier[i])
-        return Sample(self.X[i], float(self.y[i]), flag)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -109,7 +93,9 @@ class Partition:
         flat = blocks.ravel()
         if flat.size and (flat.min() < 0 or flat.max() >= self.n):
             raise ValueError("block indices out of range")
-        if np.unique(flat).size != flat.size:
+        # O(n) occupancy count; np.unique would sort, and this runs on
+        # every per-step draw of the descent engines
+        if flat.size and np.bincount(flat, minlength=self.n).max() > 1:
             raise ValueError("blocks must be disjoint")
         object.__setattr__(self, "blocks", blocks)
 
@@ -226,6 +212,16 @@ def _map_label(raw: str, row: int) -> float:
     raise CsvLabelError(f"row {row}: label {v!r} not in {{-1,1}} or {{0,1}}")
 
 
+def _parse_flag(raw: str, path, row: int) -> bool:
+    try:
+        v = float(raw)
+    except ValueError:
+        v = None
+    if v not in (0.0, 1.0):
+        raise CsvParseError(f"{path}: row {row}: is_outlier {raw!r} is not 0 or 1")
+    return v == 1.0
+
+
 def _is_numeric_row(fields: list[str]) -> bool:
     try:
         [float(f) for f in fields]
@@ -298,7 +294,7 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
             raise CsvParseError(f"{path}: label column index {label_idx} out of range")
         labels.append(_map_label(fields[label_idx], rownum))
         if flag_idx is not None:
-            flags.append(bool(float(fields[flag_idx])))
+            flags.append(_parse_flag(fields[flag_idx], path, rownum))
         feat = []
         for j, f in enumerate(fields):
             if j == label_idx or j == flag_idx:
@@ -312,6 +308,10 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
         rows.append(feat)
 
     X = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        rownum = int(bad[0]) + 1 + (1 if header is not None else 0)
+        raise CsvParseError(f"{path}: row {rownum}: non-finite feature")
     y = np.asarray(labels, dtype=float)
     out = np.asarray(flags, dtype=bool) if flag_idx is not None else None
     return Dataset(X=X, y=y, is_outlier=out)

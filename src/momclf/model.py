@@ -104,6 +104,9 @@ class KernelModel:
         support = np.asarray(self.support, dtype=float)
         if alpha.shape != (support.shape[0],):
             raise ValueError("alpha must have one coefficient per support point")
+        if not 0 <= self.active_block < self.partition.k:
+            raise ValueError(f"active_block {self.active_block} outside "
+                             f"[0, {self.partition.k})")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "support", support)
 

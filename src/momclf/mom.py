@@ -17,12 +17,6 @@ class BlockMeans:
     partition: Partition
 
 
-def _median_rank(k: int) -> int:
-    # middle order statistic for odd k, lower median for even k, so a
-    # concrete block always attains the returned value
-    return (k - 1) // 2
-
-
 def block_means(values, partition: Partition) -> BlockMeans:
     """Mean of ``values`` over each partition block.
 
@@ -40,20 +34,29 @@ def block_means(values, partition: Partition) -> BlockMeans:
     return BlockMeans(means=values[partition.blocks].mean(axis=1), partition=partition)
 
 
+def median_index(values) -> int:
+    """Index of the lower-median entry of a 1-d vector.
+
+    The middle order statistic for an odd length, the lower median for an
+    even one, so a concrete entry always attains the median.  Ties are
+    broken toward the smallest index, which makes the result a
+    deterministic function of the values.  A NaN median raises ValueError.
+    """
+    values = np.asarray(values)
+    r = (values.size - 1) // 2
+    hits = np.flatnonzero(values == np.partition(values, r)[r])
+    if not hits.size:
+        raise ValueError("median of values is NaN")
+    return int(hits[0])
+
+
 def mom_estimate(values, partition: Partition) -> float:
     """Median of the within-block means (the lower median when K is even)."""
     means = block_means(values, partition).means
-    r = _median_rank(means.size)
-    return float(np.partition(means, r)[r])
+    return float(means[median_index(means)])
 
 
 def median_block_index(bm: BlockMeans) -> int:
-    """Index of a block whose mean attains the MOM value.
-
-    Ties are broken toward the smallest block index, so the result is a
-    deterministic function of the partition and values.
-    """
-    means = bm.means
-    r = _median_rank(means.size)
-    med = np.partition(means, r)[r]
-    return int(np.flatnonzero(means == med)[0])
+    """Index of a block whose mean attains the MOM value, ties toward the
+    smallest block index (see :func:`median_index`)."""
+    return median_index(bm.means)

@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from momclf.data import Dataset, Partition, random_equipartition
 from momclf.losses import LossKind, loss_grad_score, loss_value
-from momclf.mom import block_means, median_block_index, mom_estimate
+from momclf.mom import block_means, median_block_index, median_index, mom_estimate
 from momclf.model import (
     KernelModel,
     KernelSpec,
@@ -282,19 +282,14 @@ def median_block_gradient_check(ds: Dataset, m: LinearModel,
     X, y = ds.training_arrays()
     scores = X @ m.u + m.b
     bm = block_means(loss_value(loss, scores, y), partition)
-    k = bm.means.size
-    order = np.sort(bm.means)
-    r = (k - 1) // 2
+    k_med = median_block_index(bm)
+    # distance to the nearest other block mean: a neighbour in sorted order
+    others = np.delete(bm.means, k_med)
+    gap = np.abs(others - bm.means[k_med]).min() if others.size else np.inf
     grad_bound = max(1.0, float(np.abs(X).max()))
-    gap = np.inf
-    if r > 0:
-        gap = min(gap, order[r] - order[r - 1])
-    if r + 1 < k:
-        gap = min(gap, order[r + 1] - order[r])
     if gap <= 10.0 * h * grad_bound:
         return GradCheckResult(status="inconclusive", max_rel_deviation=None)
 
-    k_med = median_block_index(bm)
     idx = partition.block(k_med)
     g = loss_grad_score(loss, scores[idx], y[idx])
     analytic = np.r_[X[idx].T @ g, g.sum()] / partition.block_size
@@ -406,9 +401,7 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
             float(alpha[blocks[j]] @ scores[j]) for j in range(cfg.k)
         )
         objectives = _klr_block_objectives(scores, y, blocks, penalty)
-        r = (cfg.k - 1) // 2
-        med = np.partition(objectives, r)[r]
-        k_med = int(np.flatnonzero(objectives == med)[0])
+        k_med = median_index(objectives)
         eta = cfg.schedule.rate(t)
         new_alpha = alpha * (1.0 - eta)
         idx = blocks[k_med]
@@ -426,9 +419,8 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     final_pen = cfg.beta * sum(float(alpha[blocks[j]] @ final_scores[j])
                                for j in range(cfg.k))
     final_obj = _klr_block_objectives(final_scores, y, blocks, final_pen)
-    r = (cfg.k - 1) // 2
     trace = TrainTrace(steps=steps,
-                       final_objective=float(np.partition(final_obj, r)[r]),
+                       final_objective=float(final_obj[median_index(final_obj)]),
                        n=n, k=cfg.k, t=cfg.t, block_size=part.block_size)
     return model, trace
 
@@ -459,9 +451,7 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
         penalty = cfg.beta * float(alpha @ scores)
         objectives = _klr_block_objectives(
             [scores[idx] for idx in blocks], y, blocks, penalty)
-        r = (cfg.k - 1) // 2
-        med = np.partition(objectives, r)[r]
-        k_med = int(np.flatnonzero(objectives == med)[0])
+        k_med = median_index(objectives)
         eta = cfg.schedule.rate(t)
         new_alpha = alpha * (1.0 - eta)
         idx = blocks[k_med]

@@ -126,6 +126,22 @@ def test_train_config_file_with_flag_override(tmp_path):
                  "--model", str(tmp_path / "m4.json")]) == 1
 
 
+def test_train_trace_with_erm_fails_before_writing_model(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "40", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algo": "erm-logistic", "t": 20}))
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--model", str(model),
+                 "--trace", str(tmp_path / "t.jsonl")]) == 1
+    err = capsys.readouterr().err
+    assert "erm-logistic does not record a selection trace" in err
+    assert not model.exists()
+
+
 def test_full_toy_round_trip_under_60s(tmp_path):
     import time
     t0 = time.perf_counter()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2, norm
 
 from momclf.data import (
@@ -8,6 +10,7 @@ from momclf.data import (
     CsvLabelError,
     CsvParseError,
     Dataset,
+    Partition,
     generate_gaussians,
     generate_moons,
     generate_toy,
@@ -24,7 +27,6 @@ def test_dataset_invariants():
         Dataset(X=np.array([[np.nan, 0.0]]), y=np.array([1.0]))
     ds = Dataset(X=np.zeros((3, 2)), y=np.array([1.0, -1.0, 1.0]))
     assert ds.n == 3 and ds.p == 2 and len(ds) == 3
-    assert ds[1].y == -1.0 and ds[1].is_outlier is None
 
 
 def test_training_arrays_exclude_flags():
@@ -153,6 +155,32 @@ def test_load_csv_errors(tmp_path):
         load_csv(bad_field)
 
 
+@pytest.mark.parametrize("flag", ["nan", "2", "-1", "0.5", "yes", ""])
+def test_load_csv_rejects_bad_outlier_flag_with_row(tmp_path, flag):
+    path = tmp_path / "flags.csv"
+    path.write_text(f"x0,y,is_outlier\n1.0,1,0\n2.0,-1,1\n3.0,1,{flag}\n")
+    with pytest.raises(CsvParseError, match="row 4"):
+        load_csv(path)
+
+
+def test_load_csv_reads_outlier_flags_written_as_floats(tmp_path):
+    path = tmp_path / "flags.csv"
+    path.write_text("x0,y,is_outlier\n1.0,1,0.0\n2.0,-1,1.0\n")
+    assert np.array_equal(load_csv(path).is_outlier, [False, True])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite_feature_with_row(tmp_path, value):
+    with_header = tmp_path / "h.csv"
+    with_header.write_text(f"x0,x1,y\n1,2,1\n3,{value},0\n")
+    with pytest.raises(CsvParseError, match="row 3"):
+        load_csv(with_header)
+    headerless = tmp_path / "n.csv"
+    headerless.write_text(f"{value},2,1\n3,4,0\n")
+    with pytest.raises(CsvParseError, match="row 1"):
+        load_csv(headerless)
+
+
 def test_csv_round_trip_with_header_and_flags(tmp_path):
     ds = generate_toy(20, 4, 0)
     path = tmp_path / "toy.csv"
@@ -222,3 +250,48 @@ def test_equipartition_block_marginals_uniform():
     stat = ((counts - expected) ** 2 / expected).sum()
     dof = (n - 1) * (k - 1)
     assert stat < chi2.ppf(0.999, dof)
+
+
+@pytest.mark.parametrize("blocks, match", [
+    ([[0, 1], [1, 2]], "disjoint"),       # index shared by two blocks
+    ([[0, 0], [1, 2]], "disjoint"),       # index repeated within one block
+    ([[-1, 0], [1, 2]], "out of range"),  # negative index
+    ([[0, 1], [2, 4]], "out of range"),   # index equal to n
+], ids=["shared", "repeated", "negative", "equal-to-n"])
+def test_partition_rejects_bad_blocks(blocks, match):
+    with pytest.raises(ValueError, match=match):
+        Partition(blocks=np.array(blocks), n=4)
+
+
+def test_partition_accepts_disjoint_blocks_with_dropped_indices():
+    part = Partition(blocks=np.array([[0, 4], [2, 3]]), n=6)
+    assert part.k == 2 and part.block_size == 2
+
+
+@st.composite
+def _n_and_k(draw):
+    n = draw(st.integers(1, 300))
+    return n, draw(st.integers(1, n))
+
+
+@given(_n_and_k(), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_equipartition_rows_sorted_disjoint_in_range(nk, seed, data):
+    n, k = nk
+    part = random_equipartition(n, k, np.random.default_rng(seed))
+    blocks = part.blocks
+    assert blocks.shape == (k, n // k)
+    assert np.all(np.diff(blocks, axis=1) > 0)  # sorted, no repeat in a row
+    flat = blocks.ravel()
+    assert flat.min() >= 0 and flat.max() < n
+    assert len(set(flat.tolist())) == flat.size
+    if k >= 2:
+        # copying any index into another block breaks disjointness
+        src = data.draw(st.integers(0, k - 1))
+        dst = data.draw(st.sampled_from([b for b in range(k) if b != src]))
+        i = data.draw(st.integers(0, n // k - 1))
+        j = data.draw(st.integers(0, n // k - 1))
+        bad = blocks.copy()
+        bad[dst, j] = bad[src, i]
+        with pytest.raises(ValueError, match="disjoint"):
+            Partition(blocks=bad, n=n)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,28 @@ def test_model_json_round_trip_kernel():
     x = np.array([0.1, 0.2])
     assert kernel_model_score(back, x) == pytest.approx(
         kernel_model_score(m, x), rel=1e-12)
+
+
+def _kernel_model_json(blocks=None, active_block=1):
+    ds = _dataset(6, 2, 8)
+    part = random_equipartition(6, 2, np.random.default_rng(6))
+    m = KernelModel(alpha=np.arange(6, dtype=float), support=ds.X,
+                    kernel=KernelSpec(kind="rbf", gamma=0.3),
+                    partition=part, active_block=1)
+    obj = json.loads(model_to_json(m))
+    if blocks is not None:
+        obj["blocks"] = blocks
+    obj["active_block"] = active_block
+    return json.dumps(obj)
+
+
+def test_model_from_json_rejects_overlapping_blocks():
+    with pytest.raises(ValueError, match="disjoint"):
+        model_from_json(_kernel_model_json([[0, 1, 2], [2, 3, 4]]))
+
+
+@pytest.mark.parametrize("active_block", [-1, 2, 7])
+def test_model_from_json_rejects_active_block_out_of_range(active_block):
+    with pytest.raises(ValueError, match="active_block"):
+        model_from_json(_kernel_model_json(active_block=active_block))
+    assert model_from_json(_kernel_model_json(active_block=0)).active_block == 0

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momclf.data import Partition, random_equipartition
-from momclf.mom import BlockMeans, block_means, median_block_index, mom_estimate
+from momclf.mom import (
+    BlockMeans,
+    block_means,
+    median_block_index,
+    median_index,
+    mom_estimate,
+)
 
 
 def sort_median_oracle(values):
@@ -116,6 +122,22 @@ def test_median_block_index_matches_sort_oracle():
         means = rng.standard_normal(7)
         bm = BlockMeans(means=means, partition=part)
         assert means[median_block_index(bm)] == sort_median_oracle(means)
+
+
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
+@settings(max_examples=100, deadline=None)
+def test_median_index_is_first_index_of_lower_median(raw):
+    # small integers force ties; the first index attaining the median wins
+    values = np.asarray(raw, dtype=float)
+    i = median_index(values)
+    assert values[i] == sort_median_oracle(values)
+    assert np.all(values[:i] != values[i])
+
+
+def test_median_index_rejects_nan_median():
+    with pytest.raises(ValueError, match="NaN"):
+        median_index([np.nan, np.nan, 1.0])
+    assert median_index([np.nan, 2.0, 1.0]) == 1  # NaN sorts last
 
 
 def test_median_block_realizes_mom_value_even_k():
