@@ -53,9 +53,16 @@ class Dataset:
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         if self.is_outlier is not None:
-            flags = np.asarray(self.is_outlier, dtype=bool)
+            flags = np.asarray(self.is_outlier)
             if flags.shape != (X.shape[0],):
                 raise ValueError("is_outlier must have one flag per sample")
+            if flags.dtype != bool:
+                values = [_flag_value(v) for v in flags.tolist()]
+                if None in values:
+                    i = values.index(None)
+                    raise ValueError(f"is_outlier[{i}] = {flags.tolist()[i]!r} "
+                                     "is not a boolean or 0/1")
+                flags = np.array(values)
             object.__setattr__(self, "is_outlier", flags)
 
     @property
@@ -79,8 +86,8 @@ class Partition:
     """K disjoint blocks of equal size over sample indices 0..n-1.
 
     Blocks hold exactly ``n // k`` indices each; the ``n mod k`` leftover
-    indices of the draw are dropped.  Within a block, indices are kept in
-    ascending order so that block sums are bitwise reproducible.
+    indices of the draw are dropped.  Within a block, indices are strictly
+    ascending so that block sums are bitwise reproducible.
     """
 
     blocks: np.ndarray  # (k, block_size) int array
@@ -88,15 +95,19 @@ class Partition:
 
     def __post_init__(self):
         blocks = np.asarray(self.blocks, dtype=np.intp)
-        if blocks.ndim != 2 or blocks.shape[0] < 1:
-            raise ValueError("blocks must be a (k, block_size) array")
+        k = blocks.shape[0] if blocks.ndim == 2 else 0
+        if not 1 <= k <= self.n or blocks.shape[1] != self.n // k:
+            raise ValueError(f"blocks of shape {blocks.shape} are not "
+                             f"(k, n // k) with 1 <= k <= n = {self.n}")
         flat = blocks.ravel()
-        if flat.size and (flat.min() < 0 or flat.max() >= self.n):
+        if flat.min() < 0 or flat.max() >= self.n:
             raise ValueError("block indices out of range")
-        # O(n) occupancy count; np.unique would sort, and this runs on
-        # every per-step draw of the descent engines
-        if flat.size and np.bincount(flat, minlength=self.n).max() > 1:
+        # O(n) checks: this runs on every per-step draw of the descent
+        # engines, and np.unique or a sort would cost more than the draw
+        if np.bincount(flat, minlength=self.n).max() > 1:
             raise ValueError("blocks must be disjoint")
+        if not (blocks[:, 1:] > blocks[:, :-1]).all():
+            raise ValueError("indices within a block must be strictly ascending")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -212,14 +223,13 @@ def _map_label(raw: str, row: int) -> float:
     raise CsvLabelError(f"row {row}: label {v!r} not in {{-1,1}} or {{0,1}}")
 
 
-def _parse_flag(raw: str, path, row: int) -> bool:
+def _flag_value(raw) -> bool | None:
+    """The outlier flag ``raw`` reads as (a boolean, 0 or 1), else None."""
     try:
         v = float(raw)
-    except ValueError:
-        v = None
-    if v not in (0.0, 1.0):
-        raise CsvParseError(f"{path}: row {row}: is_outlier {raw!r} is not 0 or 1")
-    return v == 1.0
+    except (TypeError, ValueError):
+        return None
+    return v == 1.0 if v in (0.0, 1.0) else None
 
 
 def _is_numeric_row(fields: list[str]) -> bool:
@@ -294,7 +304,11 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
             raise CsvParseError(f"{path}: label column index {label_idx} out of range")
         labels.append(_map_label(fields[label_idx], rownum))
         if flag_idx is not None:
-            flags.append(_parse_flag(fields[flag_idx], path, rownum))
+            flag = _flag_value(fields[flag_idx])
+            if flag is None:
+                raise CsvParseError(f"{path}: row {rownum}: is_outlier "
+                                    f"{fields[flag_idx]!r} is not 0 or 1")
+            flags.append(flag)
         feat = []
         for j, f in enumerate(fields):
             if j == label_idx or j == flag_idx:

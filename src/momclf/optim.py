@@ -34,7 +34,7 @@ from momclf.model import (
     linear_score,
 )
 
-IRLS_WEIGHT_FLOOR = 1e-10  # avoids division blow-up at saturated probabilities
+IRLS_WEIGHT_FLOOR = 1e-10  # keeps z and beta / w finite at saturated probabilities
 
 _SEED_BOUND = 2**63
 
@@ -333,32 +333,21 @@ def expected_mom_objective(ds: Dataset, m: LinearModel, k: int, loss: LossKind,
 def _irls_update(design, alpha_block, y_block, beta, eta):
     """One damped IRLS step of kernel logistic regression on one block.
 
-    Solves the weighted least-squares system of the current linearization
-    by Cholesky; a semidefinite normal matrix first gets a beta-scaled
-    ridge of the block kernel matrix, and if that is still singular (the
-    linear kernel's block Gram is always rank-deficient for block sizes
-    above the feature dimension) the minimum-norm least-squares solution
-    is used, which pins the null-space gauge of the expansion to zero.
+    With block kernel matrix K, scores s = K a, IRLS weights
+    w = pi (1 - pi) and working response z = s + (y01 - pi) / w, the
+    penalized linearization min_a |W^1/2 (z - K a)|^2 + beta a'Ka has the
+    normal equations K (W K + beta I) a = K W z, which
+    (K + beta W^-1) a = z solves.  That matrix is SPD for any PSD kernel,
+    the rank-deficient linear kernel included, because its diagonal is at
+    least 4 beta; one Cholesky solve gives the target, and the step moves
+    the block's coefficients a fraction eta towards it.
     """
     s = design @ alpha_block
     pi = expit(s)
     w = np.maximum(pi * (1.0 - pi), IRLS_WEIGHT_FLOOR)
     y01 = (y_block + 1.0) / 2.0
     z = s + (y01 - pi) / w
-    wd = design * w[:, None]
-    normal = design.T @ wd
-    rhs = wd.T @ z
-    with warnings.catch_warnings():
-        # an ill-conditioned solve is as unusable as an exactly singular one
-        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-        try:
-            target = scipy.linalg.solve(normal, rhs, assume_a="pos")
-        except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-            try:
-                target = scipy.linalg.solve(normal + beta * design, rhs,
-                                            assume_a="pos")
-            except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-                target, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
+    target = scipy.linalg.solve(design + np.diag(beta / w), z, assume_a="pos")
     if not np.all(np.isfinite(target)):
         raise NumericError("IRLS produced non-finite coefficients")
     return alpha_block * (1.0 - eta) + eta * target

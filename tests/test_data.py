@@ -29,6 +29,24 @@ def test_dataset_invariants():
     assert ds.n == 3 and ds.p == 2 and len(ds) == 3
 
 
+@pytest.mark.parametrize("flags, bad", [
+    ([np.nan, 2.0], r"is_outlier\[0\] = nan"),
+    ([0.0, 2.0], r"is_outlier\[1\] = 2.0"),
+    ([1, "yes"], r"is_outlier\[1\] = 'yes'"),
+    ([None, 0], r"is_outlier\[0\] = None"),
+], ids=["nan", "two", "word", "none"])
+def test_dataset_rejects_non_binary_outlier_flags_with_index(flags, bad):
+    with pytest.raises(ValueError, match=bad):
+        Dataset(X=np.zeros((2, 1)), y=np.array([1.0, -1.0]), is_outlier=flags)
+
+
+@pytest.mark.parametrize("flags", [[True, False], [1, 0], [1.0, 0.0], ["1", "0"]])
+def test_dataset_reads_boolean_and_01_outlier_flags(flags):
+    ds = Dataset(X=np.zeros((2, 1)), y=np.array([1.0, -1.0]), is_outlier=flags)
+    assert ds.is_outlier.dtype == bool
+    assert ds.is_outlier.tolist() == [True, False]
+
+
 def test_training_arrays_exclude_flags():
     ds = generate_toy(10, 2, 0)
     X, y = ds.training_arrays()
@@ -257,14 +275,18 @@ def test_equipartition_block_marginals_uniform():
     ([[0, 0], [1, 2]], "disjoint"),       # index repeated within one block
     ([[-1, 0], [1, 2]], "out of range"),  # negative index
     ([[0, 1], [2, 4]], "out of range"),   # index equal to n
-], ids=["shared", "repeated", "negative", "equal-to-n"])
+    ([[3, 0], [2, 1]], "ascending"),      # row out of order
+    ([[0, 1]], r"\(k, n // k\)"),         # 4 // 1 = 4 indices per block
+    ([[0], [1], [2], [3], [4]], "1 <= k <= n"),  # more blocks than samples
+], ids=["shared", "repeated", "negative", "equal-to-n", "unsorted",
+        "wrong-width", "k-above-n"])
 def test_partition_rejects_bad_blocks(blocks, match):
     with pytest.raises(ValueError, match=match):
         Partition(blocks=np.array(blocks), n=4)
 
 
 def test_partition_accepts_disjoint_blocks_with_dropped_indices():
-    part = Partition(blocks=np.array([[0, 4], [2, 3]]), n=6)
+    part = Partition(blocks=np.array([[0, 4], [2, 3]]), n=5)
     assert part.k == 2 and part.block_size == 2
 
 

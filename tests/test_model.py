@@ -206,6 +206,11 @@ def test_model_from_json_rejects_overlapping_blocks():
         model_from_json(_kernel_model_json([[0, 1, 2], [2, 3, 4]]))
 
 
+def test_model_from_json_rejects_unsorted_blocks():
+    with pytest.raises(ValueError, match="ascending"):
+        model_from_json(_kernel_model_json([[2, 0, 4], [1, 3, 5]]))
+
+
 @pytest.mark.parametrize("active_block", [-1, 2, 7])
 def test_model_from_json_rejects_active_block_out_of_range(active_block):
     with pytest.raises(ValueError, match="active_block"):

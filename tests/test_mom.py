@@ -64,7 +64,7 @@ def test_single_block_mean_equals_full_mean():
 
 
 def test_block_means_rejects_short_values():
-    part = make_partition([[0, 5]], 6)
+    part = make_partition([[0, 5], [1, 2], [3, 4]], 6)
     with pytest.raises(ValueError):
         block_means([1.0, 2.0], part)
 

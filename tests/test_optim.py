@@ -1,11 +1,21 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.special import expit
 
-from momclf.data import Dataset, generate_gaussians, generate_toy, random_equipartition
+from momclf.bench import accuracy
+from momclf.data import (
+    Dataset,
+    generate_gaussians,
+    generate_moons,
+    generate_toy,
+    random_equipartition,
+)
 from momclf.losses import LossKind, loss_grad_score, loss_value
 from momclf.mom import block_means, mom_estimate
 from momclf.model import KernelSpec, LinearModel, gram, record_gram_calls
 from momclf.optim import (
+    IRLS_WEIGHT_FLOOR,
     FastKlrConfig,
     MomGdConfig,
     StepSchedule,
@@ -17,6 +27,7 @@ from momclf.optim import (
     median_block_gradient_check,
     mom_gd_train,
     mom_objective,
+    _irls_update,
 )
 
 
@@ -375,3 +386,71 @@ def test_fast_klr_determinism():
     b, _ = fast_klr_mom_train(ds, cfg)
     assert np.array_equal(a.alpha, b.alpha)
     assert a.active_block == b.active_block
+
+
+@pytest.mark.parametrize("spec, p", [
+    (KernelSpec(kind="rbf", gamma=0.7), 2),
+    (KernelSpec(kind="linear"), 3),  # block of 30 > p: rank-deficient Gram
+], ids=["rbf", "linear-wide"])
+def test_irls_target_solves_penalized_system(spec, p):
+    rng = np.random.default_rng(24)
+    X = rng.standard_normal((30, p))
+    y = rng.choice([-1.0, 1.0], size=30)
+    K = gram(spec, X, X)
+    alpha = rng.standard_normal(30)
+    beta = 1e-3
+    target = _irls_update(K, alpha, y, beta, eta=1.0)
+    s = K @ alpha
+    pi = expit(s)
+    w = np.maximum(pi * (1.0 - pi), IRLS_WEIGHT_FLOOR)
+    z = s + ((y + 1.0) / 2.0 - pi) / w
+    residual = (K + np.diag(beta / w)) @ target - z
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(z)
+
+
+def test_fast_klr_linear_kernel_does_one_solve_per_step(monkeypatch):
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("lstsq fallback called")
+
+    calls = []
+    solve = scipy.linalg.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(scipy.linalg, "solve", counting_solve)
+    cfg = FastKlrConfig(k=4, t=25, schedule=StepSchedule("inverse-t", 1.0),
+                        kernel=KernelSpec(kind="linear"), seed=25)
+    model, _ = fast_klr_mom_train(separable_blobs(200, 26), cfg)
+    assert len(calls) == cfg.t
+    assert np.all(np.isfinite(model.alpha))
+
+
+KLR_GATE_SEEDS = range(10)  # training seeds; test sets use 10_000 + seed
+
+
+@pytest.mark.parametrize("seed", KLR_GATE_SEEDS)
+def test_fast_klr_beats_linear_mom_on_moons(seed):
+    train = generate_moons(1000, 0.2, seed)
+    test = generate_moons(2000, 0.2, 10_000 + seed)
+    schedule = StepSchedule("inverse-t", 0.5)
+    klr, _ = fast_klr_mom_train(train, FastKlrConfig(
+        k=5, t=50, schedule=schedule, beta=1e-3,
+        kernel=KernelSpec(kind="rbf", gamma=1.0), seed=seed))
+    linear, _ = mom_gd_train(train, LinearModel.zeros(2),
+                             MomGdConfig(k=5, t=2000, schedule=schedule,
+                                         seed=seed))
+    assert accuracy(klr, test) > accuracy(linear, test)
+
+
+@pytest.mark.parametrize("seed", KLR_GATE_SEEDS)
+def test_full_klr_well_above_chance_on_blobs(seed):
+    # the blobs' Bayes accuracy is Phi(sqrt(2) / 1.4) = 0.844
+    train = generate_gaussians(600, seed)
+    test = generate_gaussians(2000, 10_000 + seed)
+    model, _ = klr_mom_train(train, FastKlrConfig(
+        k=5, t=50, schedule=StepSchedule("inverse-t", 0.5), beta=1e-3,
+        kernel=KernelSpec(kind="rbf", gamma=0.5), seed=seed))
+    assert accuracy(model, test) >= 0.75
