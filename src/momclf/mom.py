@@ -14,7 +14,6 @@ class BlockMeans:
     """The K within-block arithmetic means of a per-sample value vector."""
 
     means: np.ndarray
-    partition: Partition
 
 
 def block_means(values, partition: Partition) -> BlockMeans:
@@ -31,7 +30,7 @@ def block_means(values, partition: Partition) -> BlockMeans:
         raise ValueError(
             f"values has {values.size} entries, partition indexes up to {partition.n - 1}"
         )
-    return BlockMeans(means=values[partition.blocks].mean(axis=1), partition=partition)
+    return BlockMeans(means=values[partition.blocks].mean(axis=1))
 
 
 def median_index(values) -> int:

@@ -7,13 +7,15 @@ of that block's per-sample gradients:
 
     u_{t+1} = u_t - eta_t * sum_{i in B_med} grad loss_i(u_t)
 
-The kernel engines share the same median-block selection but update the
-coefficient vector block-wise; the fast variant fixes the partition up front
-and only ever builds the K within-block kernel matrices.
+The two kernel engines share one step loop and its median-block selection;
+the fast variant fixes the partition up front and only ever builds the K
+within-block kernel matrices, the full variant redraws it every step and
+scores against the full Gram matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -24,14 +26,13 @@ from scipy.special import expit
 
 from momclf.data import Dataset, Partition, random_equipartition
 from momclf.losses import LossKind, loss_grad_score, loss_value
-from momclf.mom import block_means, median_block_index, median_index, mom_estimate
+from momclf.mom import block_means, median_block_index, mom_estimate
 from momclf.model import (
     KernelModel,
     KernelSpec,
     LinearModel,
     block_kernel_matrices,
     gram,
-    linear_score,
 )
 
 IRLS_WEIGHT_FLOOR = 1e-10  # keeps z and beta / w finite at saturated probabilities
@@ -139,7 +140,6 @@ class TrainTrace:
     k: int
     t: int
     block_size: int
-    iterates: list | None = None
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -353,24 +353,52 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     return alpha_block * (1.0 - eta) + eta * target
 
 
-def _klr_block_objectives(scores_per_block, y, blocks, penalty):
-    """Per-block data-fit means plus the shared quadratic penalty."""
-    fits = np.array([
-        np.logaddexp(0.0, -y[blocks[j]] * scores_per_block[j]).mean()
-        for j in range(len(scores_per_block))
-    ])
-    return fits + penalty
+def _klr_mom_loop(y, cfg: FastKlrConfig, partitions, score, block_design):
+    """The step loop of both kernel engines.
+
+    ``partitions`` yields a (seed, Partition) per step, ``score(alpha)``
+    the n-vector of sample scores and ``block_design(j, idx)`` the kernel
+    matrix of block j.  Each step picks the median block by mean logistic
+    loss, as ``mom_gd_train`` does, moves it towards its IRLS target and
+    shrinks every other coefficient by (1 - eta_t).  Returns (alpha, last
+    partition, last median block, trace).  The trace's final objective is
+    the one the IRLS step is stationary for: mean loss + (beta / 2m)
+    a_B' K_B a_B on the median block B of the final coefficients.
+    """
+    alpha = np.zeros(y.size)
+    steps = []
+    for t, (part_seed, part) in zip(range(cfg.t), partitions):
+        bm = block_means(loss_value(LossKind.LOGISTIC, score(alpha), y), part)
+        k_med = median_block_index(bm)
+        idx = part.block(k_med)
+        eta = cfg.schedule.rate(t)
+        new_alpha = alpha * (1.0 - eta)
+        new_alpha[idx] = _irls_update(block_design(k_med, idx), alpha[idx],
+                                      y[idx], cfg.beta, eta)
+        alpha = new_alpha
+        if not np.all(np.isfinite(alpha)):
+            raise NumericError(f"non-finite coefficients at iteration {t}")
+        if cfg.record_selections:
+            steps.append(IterationRecord(t=t, partition_seed=part_seed,
+                                         k_med=k_med, block=idx,
+                                         objective=float(bm.means[k_med])))
+    bm = block_means(loss_value(LossKind.LOGISTIC, score(alpha), y), part)
+    j = median_block_index(bm)
+    idx = part.block(j)
+    a = alpha[idx]
+    penalty = cfg.beta / (2 * part.block_size) * float(a @ block_design(j, idx) @ a)
+    trace = TrainTrace(steps=steps, final_objective=float(bm.means[j]) + penalty,
+                       n=y.size, k=cfg.k, t=cfg.t, block_size=part.block_size)
+    return alpha, part, k_med, trace
 
 
 def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     """Fast block-kernel logistic regression with MOM block selection.
 
     The partition is fixed once; only the K within-block kernel matrices
-    are ever built.  Each step scores every block against its own kernel
-    matrix, picks the median block by data-fit-plus-penalty, takes a damped
-    IRLS step there, and shrinks every other block's coefficients by
-    (1 - eta_t).  Returns (model, trace); the model's active block is the
-    median block of the last step.
+    are ever built, and each block is scored against its own.  Returns
+    (model, trace); the model's active block is the median block of the
+    last step.
     """
     X, y = ds.training_arrays()
     n = ds.n
@@ -381,36 +409,18 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     part = random_equipartition(n, cfg.k, np.random.default_rng(part_seed))
     mats = block_kernel_matrices(ds, part, cfg.kernel)
     blocks = [part.block(j) for j in range(cfg.k)]
-    alpha = np.zeros(n)
-    k_med = 0
-    steps = []
-    for t in range(cfg.t):
-        scores = [mats[j] @ alpha[blocks[j]] for j in range(cfg.k)]
-        penalty = cfg.beta * sum(
-            float(alpha[blocks[j]] @ scores[j]) for j in range(cfg.k)
-        )
-        objectives = _klr_block_objectives(scores, y, blocks, penalty)
-        k_med = median_index(objectives)
-        eta = cfg.schedule.rate(t)
-        new_alpha = alpha * (1.0 - eta)
-        idx = blocks[k_med]
-        new_alpha[idx] = _irls_update(mats[k_med], alpha[idx], y[idx], cfg.beta, eta)
-        alpha = new_alpha
-        if not np.all(np.isfinite(alpha)):
-            raise NumericError(f"non-finite coefficients at iteration {t}")
-        if cfg.record_selections:
-            steps.append(IterationRecord(t=t, partition_seed=part_seed,
-                                         k_med=k_med, block=idx,
-                                         objective=float(objectives[k_med])))
+
+    def score(alpha):
+        s = np.zeros(n)
+        for idx, mat in zip(blocks, mats):
+            s[idx] = mat @ alpha[idx]
+        return s
+
+    alpha, part, k_med, trace = _klr_mom_loop(
+        y, cfg, itertools.repeat((part_seed, part)), score,
+        lambda j, idx: mats[j])
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
                         partition=part, active_block=k_med)
-    final_scores = [mats[j] @ alpha[blocks[j]] for j in range(cfg.k)]
-    final_pen = cfg.beta * sum(float(alpha[blocks[j]] @ final_scores[j])
-                               for j in range(cfg.k))
-    final_obj = _klr_block_objectives(final_scores, y, blocks, final_pen)
-    trace = TrainTrace(steps=steps,
-                       final_objective=float(final_obj[median_index(final_obj)]),
-                       n=n, k=cfg.k, t=cfg.t, block_size=part.block_size)
     return model, trace
 
 
@@ -420,7 +430,7 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     The comparison baseline for the fast variant: it materializes the whole
     N x N Gram matrix, redraws the partition at every step, and scores each
     sample against the full support, so every step pays the full quadratic
-    kernel cost.  Same block-wise update rule as the fast variant.
+    kernel cost.  Same step loop as the fast variant.
     """
     X, y = ds.training_arrays()
     n = ds.n
@@ -428,33 +438,16 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
         raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
     rng = np.random.default_rng(cfg.seed)
     full = gram(cfg.kernel, X, X, idx_rows=np.arange(n), idx_cols=np.arange(n))
-    alpha = np.zeros(n)
-    k_med = 0
-    part = None
-    steps = []
-    for t in range(cfg.t):
-        part_seed = int(rng.integers(_SEED_BOUND))
-        part = random_equipartition(n, cfg.k, np.random.default_rng(part_seed))
-        blocks = [part.block(j) for j in range(cfg.k)]
-        scores = full @ alpha
-        penalty = cfg.beta * float(alpha @ scores)
-        objectives = _klr_block_objectives(
-            [scores[idx] for idx in blocks], y, blocks, penalty)
-        k_med = median_index(objectives)
-        eta = cfg.schedule.rate(t)
-        new_alpha = alpha * (1.0 - eta)
-        idx = blocks[k_med]
-        design = full[np.ix_(idx, idx)]
-        new_alpha[idx] = _irls_update(design, alpha[idx], y[idx], cfg.beta, eta)
-        alpha = new_alpha
-        if not np.all(np.isfinite(alpha)):
-            raise NumericError(f"non-finite coefficients at iteration {t}")
-        if cfg.record_selections:
-            steps.append(IterationRecord(t=t, partition_seed=part_seed,
-                                         k_med=k_med, block=idx,
-                                         objective=float(objectives[k_med])))
+
+    def partitions():
+        while True:
+            part_seed = int(rng.integers(_SEED_BOUND))
+            yield part_seed, random_equipartition(
+                n, cfg.k, np.random.default_rng(part_seed))
+
+    alpha, part, k_med, trace = _klr_mom_loop(
+        y, cfg, partitions(), lambda alpha: full @ alpha,
+        lambda j, idx: full[np.ix_(idx, idx)])
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
                         partition=part, active_block=k_med, full_support=True)
-    trace = TrainTrace(steps=steps, final_objective=float("nan"),
-                       n=n, k=cfg.k, t=cfg.t, block_size=part.block_size)
     return model, trace

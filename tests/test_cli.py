@@ -170,3 +170,20 @@ def test_help_lists_subcommands(capsys):
                 "bench-robustness", "bench-ksweep", "bench-rates",
                 "bench-timing"):
         assert cmd in text
+
+
+def test_train_full_klr_trace_meta_is_strict_json(tmp_path):
+    data = tmp_path / "g.csv"
+    trace = tmp_path / "trace.jsonl"
+    main(["generate", "--kind", "gaussians", "--n", "60", "--seed", "2",
+          "--output", str(data)])
+    assert main(["train", "--algo", "klr-mom", "--k", "3", "--t", "5",
+                 "--data", str(data), "--model", str(tmp_path / "m.json"),
+                 "--trace", str(trace), "--seed", "1"]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    meta_line = trace.read_text().splitlines()[0]
+    meta = json.loads(meta_line, parse_constant=reject)["meta"]
+    assert np.isfinite(meta["final_objective"])

@@ -108,19 +108,17 @@ def test_mom_resists_poisoned_block():
 
 
 def test_median_block_index_hand_examples():
-    part = make_partition([[0, 1], [2, 3], [4, 5]], 6)
-    bm = BlockMeans(means=np.array([1.5, 3.5, 5.5]), partition=part)
+    bm = BlockMeans(means=np.array([1.5, 3.5, 5.5]))
     assert median_block_index(bm) == 1
-    tie = BlockMeans(means=np.array([2.0, 2.0, 2.0]), partition=part)
+    tie = BlockMeans(means=np.array([2.0, 2.0, 2.0]))
     assert median_block_index(tie) == 0
 
 
 def test_median_block_index_matches_sort_oracle():
     rng = np.random.default_rng(5)
-    part = make_partition(np.arange(14).reshape(7, 2), 14)
     for _ in range(200):
         means = rng.standard_normal(7)
-        bm = BlockMeans(means=means, partition=part)
+        bm = BlockMeans(means=means)
         assert means[median_block_index(bm)] == sort_median_oracle(means)
 
 

@@ -454,3 +454,26 @@ def test_full_klr_well_above_chance_on_blobs(seed):
         k=5, t=50, schedule=StepSchedule("inverse-t", 0.5), beta=1e-3,
         kernel=KernelSpec(kind="rbf", gamma=0.5), seed=seed))
     assert accuracy(model, test) >= 0.75
+
+
+@pytest.mark.parametrize("train", [fast_klr_mom_train, klr_mom_train],
+                         ids=["fast", "full"])
+def test_klr_final_objective_is_the_stationary_objective(train):
+    # with one block and eta = 1 every step is a full Newton step, so the
+    # coefficients converge to the stationary point of the reported objective
+    ds = make_dataset(40, 2, 27)
+    spec = KernelSpec(kind="rbf", gamma=0.5)
+    beta = 1e-2
+    cfg = FastKlrConfig(k=1, t=30, schedule=StepSchedule("constant", 1.0),
+                        beta=beta, kernel=spec, seed=13)
+    model, trace = train(ds, cfg)
+    G = gram(spec, ds.X, ds.X)
+    a = model.alpha
+    scores = G @ a
+    m = ds.n
+    objective = (np.mean(loss_value(LossKind.LOGISTIC, scores, ds.y))
+                 + beta / (2 * m) * a @ G @ a)
+    assert trace.final_objective == pytest.approx(objective, rel=1e-12)
+    gradient = G @ loss_grad_score(LossKind.LOGISTIC, scores, ds.y) / m \
+        + beta / m * scores
+    assert np.linalg.norm(gradient) < 1e-10
