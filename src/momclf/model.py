@@ -1,8 +1,14 @@
 """Linear and kernel classifiers scored as real-valued functions.
 
 Predicted labels are sign(score) with sign(0) = +1.  Kernel models keep one
-coefficient per training sample; the block-kernel machinery only ever
-materializes within-block Gram matrices, never the full N x N one.
+coefficient per training sample.  The block-kernel machinery only ever
+materializes within-block Gram matrices; the full N x N Gram is formed only
+by the full-Gram baseline ``optim.klr_mom_train``.
+
+Memory contract: ``gram`` allocates its one output array plus one row tile
+(about ``_TILE_ENTRIES`` float64 entries) of temporaries, and
+``kernel_model_score`` streams the test points through two tiles of that
+size, so it never holds the n_test x n_support kernel matrix.
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from momclf.data import Dataset, Partition
+
+# Entries per row tile of an RBF evaluation: 2 MB of float64.
+_TILE_ENTRIES = 2**18
 
 # Active log of (row_indices, col_indices) pairs for every Gram evaluation,
 # used by tests to verify that block algorithms never touch cross-block
@@ -73,12 +82,15 @@ def default_gamma(p: int) -> float:
 
 def median_heuristic_gamma(X, max_points: int = 500, seed: int = 0) -> float:
     """Bandwidth from the median of pairwise squared distances."""
+    # Imported here: scipy.spatial adds tens of milliseconds to every import
+    # of the package, and only the CLI's ``--gamma median`` needs it.
+    from scipy.spatial.distance import pdist
+
     X = np.asarray(X, dtype=float)
     if X.shape[0] > max_points:
         idx = np.random.default_rng(seed).choice(X.shape[0], max_points, replace=False)
         X = X[idx]
-    sq = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=-1)
-    med = np.median(sq[np.triu_indices_from(sq, k=1)])
+    med = np.median(pdist(X, "sqeuclidean"))
     return 1.0 / max(med, 1e-12)
 
 
@@ -135,7 +147,8 @@ def gram(spec: KernelSpec, A, B, idx_rows=None, idx_cols=None) -> np.ndarray:
     """Dense kernel matrix between row sets A and B.
 
     ``idx_rows``/``idx_cols`` are the training indices the rows and columns
-    correspond to; they are only used for call recording.
+    correspond to; they are only used for call recording.  Memory: the
+    output plus one row tile of scratch.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -144,13 +157,43 @@ def gram(spec: KernelSpec, A, B, idx_rows=None, idx_cols=None) -> np.ndarray:
                           None if idx_cols is None else np.asarray(idx_cols)))
     if spec.kind == "linear":
         return A @ B.T
-    sq = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * (A @ B.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-spec.gamma * sq)
+    # One BLAS product for the whole matrix: a product per row tile may take
+    # another kernel path and differ in the last bit.
+    out = A @ B.T
+    _rbf_in_place(spec.gamma, out, A, B, _tile_buffer(*out.shape))
+    return out
+
+
+def _tile_rows(n_cols: int) -> int:
+    """Rows per tile so that one tile holds about ``_TILE_ENTRIES`` entries."""
+    return max(1, _TILE_ENTRIES // max(n_cols, 1))
+
+
+def _tile_buffer(n_rows: int, n_cols: int) -> np.ndarray:
+    """Uninitialized storage for one row tile of an (n_rows, n_cols) matrix."""
+    return np.empty((min(n_rows, _tile_rows(n_cols)), n_cols))
+
+
+def _rbf_in_place(gamma: float, out: np.ndarray, A, B, scratch: np.ndarray):
+    """Turn ``out`` = A @ B.T into exp(-gamma ||a - b||^2), one row tile at a time.
+
+    ``scratch`` holds at least one tile of rows.  Each entry goes through the
+    untiled formula's operations: (a2 + b2) + (-2 ab) equals (a2 + b2) - 2 ab
+    exactly, so the values match it bit for bit.
+    """
+    a2 = np.sum(A * A, axis=1)
+    b2 = np.sum(B * B, axis=1)
+    step = _tile_rows(B.shape[0])
+    for start in range(0, A.shape[0], step):
+        rows = slice(start, start + step)
+        tile = out[rows]
+        sums = scratch[: tile.shape[0]]
+        np.add(a2[rows, None], b2, out=sums)
+        tile *= -2.0
+        tile += sums
+        np.maximum(tile, 0.0, out=tile)
+        tile *= -gamma
+        np.exp(tile, out=tile)
 
 
 def block_kernel_matrices(ds: Dataset, partition: Partition, spec: KernelSpec):
@@ -182,14 +225,29 @@ def kernel_model_score(m: KernelModel, x):
     """Out-of-sample score via the kernel expansion.
 
     Block-trained models score against the active block's support only;
-    full-Gram models score against every support point.
+    full-Gram models score against every support point.  Points are scored
+    one row tile at a time in two reused tile buffers, so the kernel matrix
+    is never held whole; each tile's scores are those of
+    ``gram(m.kernel, rows, support) @ alpha``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if m.full_support:
-        scores = gram(m.kernel, x, m.support) @ m.alpha
+        support, alpha = m.support, m.alpha
     else:
         idx = m.partition.block(m.active_block)
-        scores = gram(m.kernel, x, m.support[idx]) @ m.alpha[idx]
+        support, alpha = m.support[idx], m.alpha[idx]
+    n = x.shape[0]
+    step = _tile_rows(support.shape[0])
+    tile = _tile_buffer(n, support.shape[0])
+    scratch = np.empty_like(tile)
+    scores = np.empty(n)
+    for start in range(0, n, step):
+        rows = x[start : start + step]
+        kernel_rows = tile[: rows.shape[0]]
+        np.matmul(rows, support.T, out=kernel_rows)
+        if m.kernel.kind == "rbf":
+            _rbf_in_place(m.kernel.gamma, kernel_rows, rows, support, scratch)
+        scores[start : start + step] = kernel_rows @ alpha
     return scores if scores.size > 1 else float(scores[0])
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from momclf.model import (
     gram,
     kernel_eval,
     kernel_model_score,
+    _TILE_ENTRIES,
     kernel_score,
     linear_score,
+    median_heuristic_gamma,
     model_from_json,
     model_to_json,
     predict,
@@ -88,6 +91,92 @@ def test_gram_matches_pairwise_oracle():
     for spec in (KernelSpec(kind="rbf", gamma=1.3), KernelSpec(kind="linear")):
         np.testing.assert_allclose(gram(spec, X, X), dense_gram_oracle(spec, X),
                                    rtol=1e-12, atol=1e-12)
+
+
+def untiled_gram_reference(spec, A, B):
+    """The whole-matrix formula ``gram`` evaluated before it was tiled."""
+    if spec.kind == "linear":
+        return A @ B.T
+    sq = (
+        np.sum(A * A, axis=1)[:, None]
+        + np.sum(B * B, axis=1)[None, :]
+        - 2.0 * (A @ B.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-spec.gamma * sq)
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes traced while ``fn`` ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+GRAM_KERNELS = [KernelSpec(kind="rbf", gamma=0.7), KernelSpec(kind="linear")]
+TILE_1500 = _TILE_ENTRIES // 1500
+
+
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+@pytest.mark.parametrize("n_rows,n_cols,p", [
+    (1, 1500, 3),
+    (TILE_1500 - 1, 1500, 3),
+    (TILE_1500, 1500, 3),
+    (TILE_1500 + 1, 1500, 3),
+    (1200, 1500, 7),
+    (0, 1500, 3),
+    (3, _TILE_ENTRIES + 3, 2),
+])
+def test_gram_equals_untiled_reference_bitwise(spec, n_rows, n_cols, p):
+    rng = np.random.default_rng(n_rows + n_cols)
+    A = rng.standard_normal((n_rows, p))
+    B = rng.standard_normal((n_cols, p))
+    G = gram(spec, A, B)
+    assert G.shape == (n_rows, n_cols)
+    assert np.array_equal(G, untiled_gram_reference(spec, A, B))
+
+
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+@pytest.mark.parametrize("n", [TILE_1500 + 1, 1500])
+def test_training_gram_equals_untiled_reference_bitwise(spec, n):
+    # A is B, as in the full-Gram engine's training Gram.
+    X = np.random.default_rng(n).standard_normal((n, 2))
+    assert np.array_equal(gram(spec, X, X), untiled_gram_reference(spec, X, X))
+
+
+def test_gram_peak_memory_is_output_plus_one_tile():
+    X = np.random.default_rng(9).standard_normal((1500, 2))
+    G, peak = traced_peak(gram, KernelSpec(kind="rbf", gamma=0.5), X, X)
+    assert peak <= 1.5 * G.nbytes
+
+
+def median_gamma_loop_oracle(X):
+    sq = []
+    for i in range(X.shape[0]):
+        for j in range(i + 1, X.shape[0]):
+            sq.append(sum((a - b) ** 2 for a, b in zip(X[i], X[j])))
+    return 1.0 / max(float(np.median(sq)), 1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 10, 100])
+def test_median_heuristic_gamma_matches_loop_oracle(p):
+    X = np.random.default_rng(p).standard_normal((41, p))
+    assert median_heuristic_gamma(X) == pytest.approx(
+        median_gamma_loop_oracle(X), rel=1e-12)
+
+
+def test_median_heuristic_gamma_peak_memory_is_linear_in_pairs():
+    # 600 points are subsampled to 500; a (500, 500, p) difference tensor
+    # would need 40 MB at p = 20.
+    X = np.random.default_rng(11).standard_normal((600, 20))
+    gamma, peak = traced_peak(median_heuristic_gamma, X)
+    assert np.isfinite(gamma) and gamma > 0
+    pairs = 500 * 499 // 2
+    assert peak <= 4 * 8 * pairs
 
 
 def _dataset(n, p, seed):
@@ -216,3 +305,59 @@ def test_model_from_json_rejects_active_block_out_of_range(active_block):
     with pytest.raises(ValueError, match="active_block"):
         model_from_json(_kernel_model_json(active_block=active_block))
     assert model_from_json(_kernel_model_json(active_block=0)).active_block == 0
+
+
+def _scoring_model(full_support, kind, n_support=1500, k=5, seed=12):
+    rng = np.random.default_rng(seed)
+    support = rng.standard_normal((n_support, 3))
+    kernel = (KernelSpec(kind="rbf", gamma=0.4) if kind == "rbf"
+              else KernelSpec(kind="linear"))
+    part = random_equipartition(n_support, k, np.random.default_rng(seed + 1))
+    return KernelModel(alpha=rng.standard_normal(n_support), support=support,
+                       kernel=kernel, partition=part, active_block=2,
+                       full_support=full_support)
+
+
+def _scored_support(m):
+    if m.full_support:
+        return m.support, m.alpha
+    idx = m.partition.block(m.active_block)
+    return m.support[idx], m.alpha[idx]
+
+
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+@pytest.mark.parametrize("full_support", [True, False], ids=["full", "block"])
+def test_streamed_kernel_model_score_matches_whole_gram(full_support, kind):
+    m = _scoring_model(full_support, kind)
+    x = np.random.default_rng(13).standard_normal((1200, 3))
+    support, alpha = _scored_support(m)
+    whole = gram(m.kernel, x, support) @ alpha
+    scores = kernel_model_score(m, x)
+    # Tiles change the row count of each BLAS product, which may round
+    # differently; float64 rounding bounds the gap by a few ulps of sum|alpha|.
+    np.testing.assert_allclose(scores, whole, rtol=0,
+                               atol=1e-12 * np.abs(alpha).sum())
+    assert np.array_equal(predict(m, x), np.where(whole >= 0.0, 1.0, -1.0))
+    # Each tile scores exactly as gram() of that tile does.
+    step = _TILE_ENTRIES // support.shape[0]
+    tiled = np.concatenate([gram(m.kernel, x[s : s + step], support) @ alpha
+                            for s in range(0, x.shape[0], step)])
+    assert np.array_equal(scores, tiled)
+
+
+@pytest.mark.parametrize("full_support", [True, False], ids=["full", "block"])
+def test_kernel_model_score_single_point_is_float(full_support):
+    m = _scoring_model(full_support, "rbf", n_support=40)
+    x = np.array([0.1, -0.2, 0.3])
+    score = kernel_model_score(m, x)
+    assert isinstance(score, float)
+    support, alpha = _scored_support(m)
+    assert score == (gram(m.kernel, x[None], support) @ alpha)[0]
+
+
+def test_kernel_model_score_never_holds_the_test_by_support_matrix():
+    m = _scoring_model(True, "rbf")
+    x = np.random.default_rng(14).standard_normal((1200, 3))
+    scores, peak = traced_peak(kernel_model_score, m, x)
+    assert scores.shape == (1200,)
+    assert peak < x.shape[0] * m.support.shape[0] * 8
