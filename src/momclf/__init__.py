@@ -23,20 +23,13 @@ from momclf.data import (
     write_csv,
 )
 from momclf.losses import LossKind, loss_grad_score, loss_value
-from momclf.mom import (
-    BlockMeans,
-    block_means,
-    median_block_index,
-    median_index,
-    mom_estimate,
-)
+from momclf.mom import block_means, median_block_index, mom_estimate
 from momclf.model import (
     KernelModel,
     KernelSpec,
     LinearModel,
     block_kernel_matrices,
     kernel_eval,
-    kernel_score,
     linear_score,
 )
 from momclf.optim import (

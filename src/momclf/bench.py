@@ -132,8 +132,14 @@ def fit_loglog(ns, values) -> tuple[float, float, float, int]:
     return float(coef[0]), float(coef[1]), r2, int(keep.sum())
 
 
+METHODS = ("mom-logistic", "mom-hinge", "erm-logistic", "fast-klr-mom",
+           "klr-mom")
+
+
 def _train_toy_method(method: str, train: Dataset, k: int, t: int,
                       eta0: float, seed: int):
+    """Train one of ``METHODS`` with inverse-t steps from eta0; the kernel
+    engines use beta = 1e-3 and an RBF kernel of bandwidth 1/p."""
     schedule = StepSchedule(kind="inverse-t", eta0=eta0)
     init = LinearModel.zeros(train.p)
     if method == "mom-logistic":
@@ -146,6 +152,12 @@ def _train_toy_method(method: str, train: Dataset, k: int, t: int,
         return mom_gd_train(train, init, cfg)[0]
     if method == "erm-logistic":
         return erm_gd_train(train, init, t, schedule, LossKind.LOGISTIC)
+    if method in ("fast-klr-mom", "klr-mom"):
+        cfg = FastKlrConfig(k=k, t=t, schedule=schedule, beta=1e-3,
+                            kernel=KernelSpec(kind="rbf", gamma=1.0 / train.p),
+                            seed=seed)
+        train_fn = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
+        return train_fn(train, cfg)[0]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -322,35 +334,6 @@ def run_rate_experiment(dataset_kind: str, n_values=RATE_GRID,
     return report
 
 
-def _timing_algorithms():
-    def linear(method):
-        def run(train, test, seed, k, t_steps):
-            model = _train_toy_method(method, train, k, t_steps, 0.5, seed)
-            predict(model, test.X)
-        return run
-
-    def kernel(full):
-        def run(train, test, seed, k, t_steps):
-            cfg = FastKlrConfig(k=k, t=t_steps,
-                                schedule=StepSchedule(kind="inverse-t", eta0=0.5),
-                                beta=1e-3,
-                                kernel=KernelSpec(kind="rbf",
-                                                  gamma=1.0 / train.p),
-                                seed=seed)
-            train_fn = klr_mom_train if full else fast_klr_mom_train
-            model, _ = train_fn(train, cfg)
-            predict(model, test.X)
-        return run
-
-    return {
-        "mom-logistic": linear("mom-logistic"),
-        "mom-hinge": linear("mom-hinge"),
-        "erm-logistic": linear("erm-logistic"),
-        "klr-mom": kernel(full=True),
-        "fast-klr-mom": kernel(full=False),
-    }
-
-
 def run_timing_probe(algorithms, n: int, master_seed: int = 0, k: int = 20,
                      t_linear: int = 2000, t_kernel: int = 50) -> ExperimentReport:
     """Wall-clock train-plus-test time of each named algorithm on clean
@@ -362,22 +345,22 @@ def run_timing_probe(algorithms, n: int, master_seed: int = 0, k: int = 20,
     """
     if n < k:
         raise ValueError("n must be at least k")
-    registry = _timing_algorithms()
     for name in algorithms:
-        if name not in registry:
+        if name not in METHODS:
             raise ValueError(f"unknown algorithm {name!r}; "
-                             f"choose from {sorted(registry)}")
+                             f"choose from {sorted(METHODS)}")
     report = ExperimentReport(name="timing")
     train = generate_gaussians(n, derive_seed(master_seed, 0))
     test = generate_gaussians(n, derive_seed(master_seed, 1))
     times = {}
     for name in algorithms:
         t_steps = t_kernel if "klr" in name else t_linear
-        runner = registry[name]
-        runner(train, test, derive_seed(master_seed, 2), k, t_steps)  # warm-up
-        t0 = time.perf_counter()
-        runner(train, test, derive_seed(master_seed, 3), k, t_steps)
-        elapsed = time.perf_counter() - t0
+        for rep in (2, 3):  # the first run is a discarded warm-up
+            t0 = time.perf_counter()
+            model = _train_toy_method(name, train, k, t_steps, 0.5,
+                                      derive_seed(master_seed, rep))
+            predict(model, test.X)
+            elapsed = time.perf_counter() - t0
         times[name] = elapsed
         report.records.append({"method": name, "n": n, "k": k,
                                "t": t_steps, "wall_time": elapsed})

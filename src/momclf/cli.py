@@ -50,9 +50,6 @@ from momclf.outlier import (
     write_counts_csv,
 )
 
-TRAIN_ALGOS = ("mom-logistic", "mom-hinge", "erm-logistic",
-               "fast-klr-mom", "klr-mom")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -76,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", required=True)
 
     train = sub.add_parser("train", help="train a classifier on a CSV dataset")
-    train.add_argument("--algo", choices=TRAIN_ALGOS, default=None)
+    train.add_argument("--algo", choices=bench.METHODS, default=None)
     train.add_argument("--config", default=None,
                        help="JSON file with training options; explicit flags win")
     train.add_argument("--data", required=True)
@@ -110,9 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     scores = sub.add_parser("outlier-scores",
                             help="selection counts and flags from a trace")
-    scores.add_argument("--trace", required=True)
-    scores.add_argument("--n", type=int, required=True,
-                        help="number of training samples")
+    scores.add_argument("--trace", required=True,
+                        help="JSONL trace of a training run; it holds n")
     scores.add_argument("--threshold", type=int, default=1,
                         help="flag samples selected fewer than this many times")
     scores.add_argument("--data", default=None,
@@ -203,8 +199,9 @@ def _train_options(args) -> dict:
         flag_value = getattr(args, key)
         if flag_value is not None:
             opts[key] = flag_value
-    if opts["algo"] not in TRAIN_ALGOS:
-        raise ValueError(f"algo must be one of {TRAIN_ALGOS}, got {opts['algo']!r}")
+    if opts["algo"] not in bench.METHODS:
+        raise ValueError(f"algo must be one of {bench.METHODS}, "
+                         f"got {opts['algo']!r}")
     return opts
 
 
@@ -259,13 +256,13 @@ def _cmd_predict(args) -> int:
 
 def _cmd_outlier_scores(args) -> int:
     trace = TrainTrace.from_jsonl(args.trace)
-    sc = selection_counts(trace, args.n)
+    sc = selection_counts(trace, trace.n)
     flagged = flag_outliers(sc, args.threshold)
     ds = None
     if args.data is not None:
         ds = load_csv(args.data)
     write_counts_csv(sc, args.output, ds)
-    print(f"wrote counts for {args.n} samples to {args.output}; "
+    print(f"wrote counts for {trace.n} samples to {args.output}; "
           f"{flagged.size} flagged below threshold {args.threshold}")
     if ds is not None and ds.is_outlier is not None:
         precision, recall = detection_metrics(flagged, ds)

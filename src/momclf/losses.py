@@ -18,16 +18,6 @@ class LossKind(enum.Enum):
     HINGE = "hinge"
     LOGISTIC = "logistic"
 
-    @classmethod
-    def parse(cls, name: str) -> "LossKind":
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ValueError(
-            f"unknown loss {name!r}; expected one of "
-            + ", ".join(repr(k.value) for k in cls)
-        )
-
 
 def _check_finite(score):
     if not np.all(np.isfinite(score)):

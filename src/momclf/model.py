@@ -210,17 +210,6 @@ def block_kernel_matrices(ds: Dataset, partition: Partition, spec: KernelSpec):
     return mats
 
 
-def kernel_score(m: KernelModel, block: int, x_index: int) -> float:
-    """Within-block training score: row of N^block times alpha^block."""
-    idx = m.partition.block(block)
-    pos = np.flatnonzero(idx == x_index)
-    if pos.size == 0:
-        raise ValueError(f"index {x_index} is not in block {block}")
-    row = gram(m.kernel, m.support[x_index : x_index + 1], m.support[idx],
-               idx_rows=np.array([x_index]), idx_cols=idx)[0]
-    return float(row @ m.alpha[idx])
-
-
 def kernel_model_score(m: KernelModel, x):
     """Out-of-sample score via the kernel expansion.
 

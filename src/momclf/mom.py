@@ -2,22 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from momclf.data import Partition
 
 
-@dataclass(frozen=True)
-class BlockMeans:
-    """The K within-block arithmetic means of a per-sample value vector."""
-
-    means: np.ndarray
-
-
-def block_means(values, partition: Partition) -> BlockMeans:
-    """Mean of ``values`` over each partition block.
+def block_means(values, partition: Partition) -> np.ndarray:
+    """The K-vector of the means of ``values`` over each partition block.
 
     Values must cover every index the partition uses.  Within-block
     summation runs in ascending index order (blocks are stored sorted),
@@ -30,20 +21,20 @@ def block_means(values, partition: Partition) -> BlockMeans:
         raise ValueError(
             f"values has {values.size} entries, partition indexes up to {partition.n - 1}"
         )
-    return BlockMeans(means=values[partition.blocks].mean(axis=1))
+    return values[partition.blocks].mean(axis=1)
 
 
-def median_index(values) -> int:
-    """Index of the lower-median entry of a 1-d vector.
+def median_block_index(means) -> int:
+    """Index of the block whose mean attains the MOM value.
 
-    The middle order statistic for an odd length, the lower median for an
-    even one, so a concrete entry always attains the median.  Ties are
-    broken toward the smallest index, which makes the result a
-    deterministic function of the values.  A NaN median raises ValueError.
+    The middle order statistic for an odd K, the lower median for an even
+    one, so a concrete block always attains the median.  Ties are broken
+    toward the smallest index, which makes the result a deterministic
+    function of the means.  A NaN median raises ValueError.
     """
-    values = np.asarray(values)
-    r = (values.size - 1) // 2
-    hits = np.flatnonzero(values == np.partition(values, r)[r])
+    means = np.asarray(means)
+    r = (means.size - 1) // 2
+    hits = np.flatnonzero(means == np.partition(means, r)[r])
     if not hits.size:
         raise ValueError("median of values is NaN")
     return int(hits[0])
@@ -51,11 +42,5 @@ def median_index(values) -> int:
 
 def mom_estimate(values, partition: Partition) -> float:
     """Median of the within-block means (the lower median when K is even)."""
-    means = block_means(values, partition).means
-    return float(means[median_index(means)])
-
-
-def median_block_index(bm: BlockMeans) -> int:
-    """Index of a block whose mean attains the MOM value, ties toward the
-    smallest block index (see :func:`median_index`)."""
-    return median_index(bm.means)
+    means = block_means(values, partition)
+    return float(means[median_block_index(means)])

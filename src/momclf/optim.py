@@ -7,10 +7,11 @@ of that block's per-sample gradients:
 
     u_{t+1} = u_t - eta_t * sum_{i in B_med} grad loss_i(u_t)
 
-The two kernel engines share one step loop and its median-block selection;
-the fast variant fixes the partition up front and only ever builds the K
-within-block kernel matrices, the full variant redraws it every step and
-scores against the full Gram matrix.
+All three MOM engines run one step loop and its median-block selection;
+they differ in their parameters, scores and block step.  Of the two kernel
+engines, the fast variant fixes the partition up front and only ever builds
+the K within-block kernel matrices, the full variant redraws it every step
+and scores against the full Gram matrix.
 """
 
 from __future__ import annotations
@@ -155,29 +156,73 @@ class TrainTrace:
 
     @classmethod
     def from_jsonl(cls, path) -> "TrainTrace":
+        """Read a trace written by :meth:`to_jsonl`.  A malformed line
+        raises ValueError naming the path, its 1-based number and, when one
+        is missing, the field."""
         steps = []
         meta = None
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                obj = json.loads(line)
-                if "meta" in obj:
-                    meta = obj["meta"]
-                    continue
-                steps.append(IterationRecord(
-                    t=obj["t"], partition_seed=obj["partition_seed"],
-                    k_med=obj["k_med"],
-                    block=np.asarray(obj["block"], dtype=np.intp),
-                    objective=obj["objective"]))
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    obj = json.loads(line)
+                    if "meta" in obj:
+                        meta = {f: obj["meta"][f] for f in
+                                ("final_objective", "n", "k", "t", "block_size")}
+                        continue
+                    steps.append(IterationRecord(
+                        t=obj["t"], partition_seed=obj["partition_seed"],
+                        k_med=obj["k_med"],
+                        block=np.asarray(obj["block"], dtype=np.intp),
+                        objective=obj["objective"]))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: line {lineno}: not JSON "
+                                     f"({exc.msg})") from None
+                except KeyError as exc:
+                    raise ValueError(f"{path}: line {lineno}: missing field "
+                                     f"{exc.args[0]!r}") from None
+                except TypeError:
+                    raise ValueError(f"{path}: line {lineno}: not a trace "
+                                     "record") from None
         if meta is None:
             raise ValueError(f"{path}: missing meta line")
-        return cls(steps=steps, final_objective=meta["final_objective"],
-                   n=meta["n"], k=meta["k"], t=meta["t"],
-                   block_size=meta["block_size"])
+        return cls(steps=steps, **meta)
 
 
-def _check_finite_params(u, b, t):
-    if not (np.all(np.isfinite(u)) and np.isfinite(b)):
-        raise NumericError(f"non-finite parameters at iteration {t}")
+def _redrawn_partitions(n: int, k: int, rng):
+    """Endless (seed, partition) pairs: each partition is drawn from a
+    fresh generator seeded by the next 63-bit draw of ``rng``, so a trace
+    can replay any step from its recorded seed."""
+    while True:
+        part_seed = int(rng.integers(_SEED_BOUND))
+        yield part_seed, random_equipartition(
+            n, k, np.random.default_rng(part_seed))
+
+
+def _mom_descent(y, cfg, loss: LossKind, params: tuple, partitions, score, step):
+    """The step loop of every MOM engine.
+
+    ``params`` is a tuple of parameter arrays, ``partitions`` yields a
+    (seed, Partition) per step, ``score(params)`` returns the n-vector of
+    sample scores and ``step(params, scores, k_med, idx, eta)`` the
+    parameters after a step on the median block ``idx``.  Each step scores
+    the samples, picks the block whose mean ``loss`` is the median, steps
+    on it and records the selection when ``cfg.record_selections`` is set.
+    Returns (params, last partition, last median block, records).
+    """
+    steps = []
+    for t, (part_seed, part) in zip(range(cfg.t), partitions):
+        scores = score(params)
+        means = block_means(loss_value(loss, scores, y), part)
+        k_med = median_block_index(means)
+        idx = part.block(k_med)
+        params = step(params, scores, k_med, idx, cfg.schedule.rate(t))
+        if not all(np.isfinite(v).all() for v in params):
+            raise NumericError(f"non-finite parameters at iteration {t}")
+        if cfg.record_selections:
+            steps.append(IterationRecord(t=t, partition_seed=part_seed,
+                                         k_med=k_med, block=idx,
+                                         objective=float(means[k_med])))
+    return params, part, k_med, steps
 
 
 def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
@@ -186,7 +231,8 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
     Each step draws a fresh uniform equipartition into cfg.k blocks,
     evaluates per-sample losses at the current iterate, finds the median
     block, and takes a step against the summed gradient of that block
-    (gradient through both the weights and the intercept).
+    (gradient through both the weights and the intercept).  The trace's
+    final objective is the MOM risk of the result under one more draw.
     """
     X, y = ds.training_arrays()
     n = ds.n
@@ -195,34 +241,23 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
     if cfg.schedule.kind == "constant":
         warnings.warn("constant step size violates the convergence conditions; "
                       "intended for diagnostics only", stacklevel=2)
-    rng = np.random.default_rng(cfg.seed)
-    u = init.u.copy()
-    b = init.b
-    if u.shape[0] != ds.p:
+    if init.u.shape[0] != ds.p:
         raise ValueError("init dimension does not match the dataset")
     block_size = n // cfg.k
-    steps = []
-    for t in range(cfg.t):
-        part_seed = int(rng.integers(_SEED_BOUND))
-        part = random_equipartition(n, cfg.k, np.random.default_rng(part_seed))
-        scores = X @ u + b
-        bm = block_means(loss_value(cfg.loss, scores, y), part)
-        k_med = median_block_index(bm)
-        idx = part.block(k_med)
+
+    def step(params, scores, k_med, idx, eta):
+        u, b = params
         g = loss_grad_score(cfg.loss, scores[idx], y[idx])
         if cfg.gradient_mode == "mean":
             g = g / block_size
-        eta = cfg.schedule.rate(t)
-        u = u - eta * (X[idx].T @ g)
-        b = b - eta * g.sum()
-        _check_finite_params(u, b, t)
-        if cfg.record_selections:
-            steps.append(IterationRecord(t=t, partition_seed=part_seed,
-                                         k_med=k_med, block=idx,
-                                         objective=float(bm.means[k_med])))
+        return u - eta * (X[idx].T @ g), b - eta * g.sum()
+
+    partitions = _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed))
+    (u, b), _, _, steps = _mom_descent(
+        y, cfg, cfg.loss, (init.u.copy(), init.b), partitions,
+        lambda params: X @ params[0] + params[1], step)
     model = LinearModel(u=u, b=b)
-    final_seed = int(rng.integers(_SEED_BOUND))
-    final_part = random_equipartition(n, cfg.k, np.random.default_rng(final_seed))
+    _, final_part = next(partitions)
     trace = TrainTrace(steps=steps,
                        final_objective=mom_objective(ds, model, final_part, cfg.loss),
                        n=n, k=cfg.k, t=cfg.t, block_size=block_size)
@@ -248,7 +283,8 @@ def erm_gd_train(ds: Dataset, init: LinearModel, t: int,
         eta = schedule.rate(step)
         u = u - eta * (X.T @ g) / n
         b = b - eta * g.mean()
-        _check_finite_params(u, b, step)
+        if not (np.isfinite(u).all() and np.isfinite(b)):
+            raise NumericError(f"non-finite parameters at iteration {step}")
     return LinearModel(u=u, b=b)
 
 
@@ -281,11 +317,11 @@ def median_block_gradient_check(ds: Dataset, m: LinearModel,
         raise ValueError("h must be positive")
     X, y = ds.training_arrays()
     scores = X @ m.u + m.b
-    bm = block_means(loss_value(loss, scores, y), partition)
-    k_med = median_block_index(bm)
+    means = block_means(loss_value(loss, scores, y), partition)
+    k_med = median_block_index(means)
     # distance to the nearest other block mean: a neighbour in sorted order
-    others = np.delete(bm.means, k_med)
-    gap = np.abs(others - bm.means[k_med]).min() if others.size else np.inf
+    others = np.delete(means, k_med)
+    gap = np.abs(others - means[k_med]).min() if others.size else np.inf
     grad_bound = max(1.0, float(np.abs(X).max()))
     if gap <= 10.0 * h * grad_bound:
         return GradCheckResult(status="inconclusive", max_rel_deviation=None)
@@ -353,41 +389,33 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     return alpha_block * (1.0 - eta) + eta * target
 
 
-def _klr_mom_loop(y, cfg: FastKlrConfig, partitions, score, block_design):
-    """The step loop of both kernel engines.
+def _klr_descent(y, cfg: FastKlrConfig, partitions, score, block_design):
+    """MOM descent of both kernel engines on the coefficients alpha.
 
-    ``partitions`` yields a (seed, Partition) per step, ``score(alpha)``
-    the n-vector of sample scores and ``block_design(j, idx)`` the kernel
-    matrix of block j.  Each step picks the median block by mean logistic
-    loss, as ``mom_gd_train`` does, moves it towards its IRLS target and
+    ``score(alpha)`` returns the n-vector of sample scores and
+    ``block_design(j, idx)`` the kernel matrix of block j.  Each step moves
+    the median block (by mean logistic loss) towards its IRLS target and
     shrinks every other coefficient by (1 - eta_t).  Returns (alpha, last
     partition, last median block, trace).  The trace's final objective is
     the one the IRLS step is stationary for: mean loss + (beta / 2m)
     a_B' K_B a_B on the median block B of the final coefficients.
     """
-    alpha = np.zeros(y.size)
-    steps = []
-    for t, (part_seed, part) in zip(range(cfg.t), partitions):
-        bm = block_means(loss_value(LossKind.LOGISTIC, score(alpha), y), part)
-        k_med = median_block_index(bm)
-        idx = part.block(k_med)
-        eta = cfg.schedule.rate(t)
+    def step(params, scores, k_med, idx, eta):
+        (alpha,) = params
         new_alpha = alpha * (1.0 - eta)
         new_alpha[idx] = _irls_update(block_design(k_med, idx), alpha[idx],
                                       y[idx], cfg.beta, eta)
-        alpha = new_alpha
-        if not np.all(np.isfinite(alpha)):
-            raise NumericError(f"non-finite coefficients at iteration {t}")
-        if cfg.record_selections:
-            steps.append(IterationRecord(t=t, partition_seed=part_seed,
-                                         k_med=k_med, block=idx,
-                                         objective=float(bm.means[k_med])))
-    bm = block_means(loss_value(LossKind.LOGISTIC, score(alpha), y), part)
-    j = median_block_index(bm)
+        return (new_alpha,)
+
+    (alpha,), part, k_med, steps = _mom_descent(
+        y, cfg, LossKind.LOGISTIC, (np.zeros(y.size),), partitions,
+        lambda params: score(params[0]), step)
+    means = block_means(loss_value(LossKind.LOGISTIC, score(alpha), y), part)
+    j = median_block_index(means)
     idx = part.block(j)
     a = alpha[idx]
     penalty = cfg.beta / (2 * part.block_size) * float(a @ block_design(j, idx) @ a)
-    trace = TrainTrace(steps=steps, final_objective=float(bm.means[j]) + penalty,
+    trace = TrainTrace(steps=steps, final_objective=float(means[j]) + penalty,
                        n=y.size, k=cfg.k, t=cfg.t, block_size=part.block_size)
     return alpha, part, k_med, trace
 
@@ -404,9 +432,8 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     n = ds.n
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
-    rng = np.random.default_rng(cfg.seed)
-    part_seed = int(rng.integers(_SEED_BOUND))
-    part = random_equipartition(n, cfg.k, np.random.default_rng(part_seed))
+    part_seed, part = next(_redrawn_partitions(n, cfg.k,
+                                               np.random.default_rng(cfg.seed)))
     mats = block_kernel_matrices(ds, part, cfg.kernel)
     blocks = [part.block(j) for j in range(cfg.k)]
 
@@ -416,7 +443,7 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
             s[idx] = mat @ alpha[idx]
         return s
 
-    alpha, part, k_med, trace = _klr_mom_loop(
+    alpha, _, k_med, trace = _klr_descent(
         y, cfg, itertools.repeat((part_seed, part)), score,
         lambda j, idx: mats[j])
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
@@ -436,18 +463,10 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     n = ds.n
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
-    rng = np.random.default_rng(cfg.seed)
     full = gram(cfg.kernel, X, X, idx_rows=np.arange(n), idx_cols=np.arange(n))
-
-    def partitions():
-        while True:
-            part_seed = int(rng.integers(_SEED_BOUND))
-            yield part_seed, random_equipartition(
-                n, cfg.k, np.random.default_rng(part_seed))
-
-    alpha, part, k_med, trace = _klr_mom_loop(
-        y, cfg, partitions(), lambda alpha: full @ alpha,
-        lambda j, idx: full[np.ix_(idx, idx)])
+    alpha, part, k_med, trace = _klr_descent(
+        y, cfg, _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed)),
+        lambda alpha: full @ alpha, lambda j, idx: full[np.ix_(idx, idx)])
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
                         partition=part, active_block=k_med, full_support=True)
     return model, trace

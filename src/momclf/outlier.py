@@ -44,8 +44,11 @@ def selection_counts(trace: TrainTrace, n: int) -> SelectionCounts:
     contained it.
 
     Requires a trace recorded with selection recording enabled; the counts
-    over all samples always total T * (n // K).
+    over all samples always total T * (n // K).  ``n`` must be the trace's
+    own sample count.
     """
+    if n != trace.n:
+        raise ValueError(f"n={n} does not match the trace's n={trace.n}")
     if not trace.steps:
         raise ValueError("trace has no recorded selections "
                          "(train with record_selections=True)")
@@ -85,7 +88,14 @@ def detection_metrics(flagged, ds: Dataset) -> tuple[float, float]:
 
 
 def write_counts_csv(sc: SelectionCounts, path, ds: Dataset | None = None) -> None:
-    """Export counts as CSV (index, count[, is_outlier]) for plotting."""
+    """Export counts as CSV (index, count[, is_outlier]) for plotting.
+
+    A dataset of another size than the counts is refused before the file
+    is opened.
+    """
+    if ds is not None and ds.n != sc.counts.size:
+        raise ValueError(f"dataset has {ds.n} rows but the counts cover "
+                         f"n={sc.counts.size} samples")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         header = ["index", "count"]

@@ -74,7 +74,7 @@ def test_criterion_2_breakdown():
         n = k * int(rng.integers(2, 10))
         values = rng.standard_normal(n)
         part = random_equipartition(n, k, rng)
-        clean = block_means(values, part).means
+        clean = block_means(values, part)
         corrupted = values.copy()
         for j in rng.choice(k, size=m, replace=False):
             corrupted[part.block(j)] = rng.uniform(-1e9, 1e9, part.block_size)

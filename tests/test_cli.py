@@ -62,7 +62,7 @@ def test_train_predict_outlier_scores_round_trip(tmp_path):
     lines = preds.read_text().strip().splitlines()
     assert lines[0] == "prediction" and len(lines) == 211
     assert set(lines[1:]) <= {"1", "-1"}
-    assert main(["outlier-scores", "--trace", str(trace), "--n", "210",
+    assert main(["outlier-scores", "--trace", str(trace),
                  "--threshold", "1", "--data", str(data),
                  "--output", str(scores)]) == 0
     rows = scores.read_text().strip().splitlines()
@@ -70,6 +70,48 @@ def test_train_predict_outlier_scores_round_trip(tmp_path):
     assert len(rows) == 211
     counts = np.array([int(r.split(",")[1]) for r in rows[1:]])
     assert counts.sum() == 300 * (210 // 30)
+
+
+def test_outlier_scores_takes_n_from_the_trace(tmp_path, capsys):
+    data = tmp_path / "toy.csv"
+    other = tmp_path / "other.csv"
+    trace = tmp_path / "trace.jsonl"
+    scores = tmp_path / "scores.csv"
+    main(["generate", "--kind", "toy", "--inliers", "100", "--outliers", "5",
+          "--seed", "3", "--output", str(data)])
+    main(["generate", "--kind", "toy", "--inliers", "140", "--outliers", "10",
+          "--seed", "3", "--output", str(other)])
+    assert main(["train", "--algo", "mom-logistic", "--k", "15", "--t", "40",
+                 "--data", str(data), "--model", str(tmp_path / "m.json"),
+                 "--trace", str(trace)]) == 0
+    # the removed --n flag is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["outlier-scores", "--trace", str(trace), "--n", "150",
+              "--output", str(scores)])
+    assert exc.value.code == 2
+    assert main(["outlier-scores", "--trace", str(trace),
+                 "--output", str(scores)]) == 0
+    assert len(scores.read_text().strip().splitlines()) == 1 + 105
+    # a --data CSV of another size is refused before anything is written
+    scores.unlink()
+    capsys.readouterr()
+    assert main(["outlier-scores", "--trace", str(trace), "--data", str(other),
+                 "--output", str(scores)]) == 1
+    err = capsys.readouterr().err
+    assert "150 rows" in err and "n=105" in err
+    assert not scores.exists()
+
+
+def test_outlier_scores_reports_a_malformed_trace_line(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"meta": {"n": 4, "k": 2, "t": 1, "block_size": 2, '
+                     '"final_objective": 0.5}}\n'
+                     '{"t": 0, "partition_seed": 1, "block": [0, 1], '
+                     '"objective": 0.5}\n')
+    capsys.readouterr()
+    assert main(["outlier-scores", "--trace", str(trace),
+                 "--output", str(tmp_path / "s.csv")]) == 1
+    assert "line 2: missing field 'k_med'" in capsys.readouterr().err
 
 
 def test_train_kernel_algo(tmp_path):

@@ -17,14 +17,6 @@ def loss_oracle(kind, s, y):
     raise AssertionError
 
 
-def test_parse_names():
-    assert LossKind.parse("zero-one") is LossKind.ZERO_ONE
-    assert LossKind.parse("hinge") is LossKind.HINGE
-    assert LossKind.parse("logistic") is LossKind.LOGISTIC
-    with pytest.raises(ValueError):
-        LossKind.parse("square")
-
-
 def test_logistic_at_zero_score():
     assert loss_value(LossKind.LOGISTIC, 0.0, 1.0) == pytest.approx(
         math.log(2.0), rel=1e-12)

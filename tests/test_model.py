@@ -15,7 +15,6 @@ from momclf.model import (
     kernel_eval,
     kernel_model_score,
     _TILE_ENTRIES,
-    kernel_score,
     linear_score,
     median_heuristic_gamma,
     model_from_json,
@@ -206,33 +205,6 @@ def test_block_kernel_storage_total():
     part = random_equipartition(50, 7, np.random.default_rng(1))
     mats = block_kernel_matrices(ds, part, KernelSpec(kind="linear"))
     assert sum(m.size for m in mats) == 7 * (50 // 7) ** 2
-
-
-def test_kernel_score_against_dense_gram():
-    ds = _dataset(12, 2, 5)
-    part = random_equipartition(12, 3, np.random.default_rng(2))
-    spec = KernelSpec(kind="rbf", gamma=0.8)
-    rng = np.random.default_rng(3)
-    alpha = rng.standard_normal(12)
-    m = KernelModel(alpha=alpha, support=ds.X, kernel=spec, partition=part)
-    G = dense_gram_oracle(spec, ds.X)
-    for j in range(3):
-        idx = part.block(j)
-        for i in idx:
-            expected = G[i, idx] @ alpha[idx]
-            assert kernel_score(m, j, int(i)) == pytest.approx(expected, rel=1e-10)
-
-
-def test_kernel_score_zero_alpha_and_membership():
-    ds = _dataset(6, 2, 6)
-    part = random_equipartition(6, 3, np.random.default_rng(4))
-    m = KernelModel(alpha=np.zeros(6), support=ds.X,
-                    kernel=KernelSpec(kind="linear"), partition=part)
-    idx = part.block(0)
-    assert kernel_score(m, 0, int(idx[0])) == 0.0
-    outside = next(i for i in range(6) if i not in idx)
-    with pytest.raises(ValueError):
-        kernel_score(m, 0, outside)
 
 
 def test_predict_sign_convention_and_rescaling_invariance():

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momclf.data import Partition, random_equipartition
-from momclf.mom import (
-    BlockMeans,
-    block_means,
-    median_block_index,
-    median_index,
-    mom_estimate,
-)
+from momclf.mom import block_means, median_block_index, mom_estimate
 
 
 def sort_median_oracle(values):
@@ -35,13 +29,12 @@ def make_partition(blocks, n):
 
 def test_block_means_hand_example():
     part = make_partition([[0, 1], [2, 3], [4, 5]], 6)
-    bm = block_means([1, 2, 3, 4, 5, 6], part)
-    assert np.array_equal(bm.means, [1.5, 3.5, 5.5])
+    assert np.array_equal(block_means([1, 2, 3, 4, 5, 6], part), [1.5, 3.5, 5.5])
 
 
 def test_block_means_constant_values():
     part = make_partition([[0, 2], [1, 3]], 4)
-    assert np.array_equal(block_means([7.0] * 4, part).means, [7.0, 7.0])
+    assert np.array_equal(block_means([7.0] * 4, part), [7.0, 7.0])
 
 
 def test_block_means_matches_loop_oracle():
@@ -50,7 +43,7 @@ def test_block_means_matches_loop_oracle():
         n, k = 24, int(rng.integers(1, 9))
         part = random_equipartition(n, k, rng)
         values = rng.standard_normal(n)
-        np.testing.assert_allclose(block_means(values, part).means,
+        np.testing.assert_allclose(block_means(values, part),
                                    loop_block_means_oracle(values, part),
                                    rtol=1e-12)
 
@@ -59,7 +52,7 @@ def test_single_block_mean_equals_full_mean():
     rng = np.random.default_rng(1)
     values = rng.standard_normal(100)
     part = random_equipartition(100, 1, rng)
-    assert block_means(values, part).means[0] == pytest.approx(
+    assert block_means(values, part)[0] == pytest.approx(
         np.mean(values), rel=1e-12)
 
 
@@ -108,18 +101,15 @@ def test_mom_resists_poisoned_block():
 
 
 def test_median_block_index_hand_examples():
-    bm = BlockMeans(means=np.array([1.5, 3.5, 5.5]))
-    assert median_block_index(bm) == 1
-    tie = BlockMeans(means=np.array([2.0, 2.0, 2.0]))
-    assert median_block_index(tie) == 0
+    assert median_block_index(np.array([1.5, 3.5, 5.5])) == 1
+    assert median_block_index(np.array([2.0, 2.0, 2.0])) == 0
 
 
 def test_median_block_index_matches_sort_oracle():
     rng = np.random.default_rng(5)
     for _ in range(200):
         means = rng.standard_normal(7)
-        bm = BlockMeans(means=means)
-        assert means[median_block_index(bm)] == sort_median_oracle(means)
+        assert means[median_block_index(means)] == sort_median_oracle(means)
 
 
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=30))
@@ -127,15 +117,15 @@ def test_median_block_index_matches_sort_oracle():
 def test_median_index_is_first_index_of_lower_median(raw):
     # small integers force ties; the first index attaining the median wins
     values = np.asarray(raw, dtype=float)
-    i = median_index(values)
+    i = median_block_index(values)
     assert values[i] == sort_median_oracle(values)
     assert np.all(values[:i] != values[i])
 
 
 def test_median_index_rejects_nan_median():
     with pytest.raises(ValueError, match="NaN"):
-        median_index([np.nan, np.nan, 1.0])
-    assert median_index([np.nan, 2.0, 1.0]) == 1  # NaN sorts last
+        median_block_index([np.nan, np.nan, 1.0])
+    assert median_block_index([np.nan, 2.0, 1.0]) == 1  # NaN sorts last
 
 
 def test_median_block_realizes_mom_value_even_k():
@@ -144,8 +134,8 @@ def test_median_block_realizes_mom_value_even_k():
         n, k = 24, int(rng.integers(2, 13))
         part = random_equipartition(n, k, rng)
         values = rng.standard_normal(n)
-        bm = block_means(values, part)
-        assert bm.means[median_block_index(bm)] == mom_estimate(values, part)
+        means = block_means(values, part)
+        assert means[median_block_index(means)] == mom_estimate(values, part)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=40),
@@ -181,7 +171,7 @@ def test_breakdown_corrupted_minority_blocks_bounded_by_clean_range():
         n = k * int(rng.integers(2, 8))
         values = rng.standard_normal(n)
         part = random_equipartition(n, k, rng)
-        clean_means = block_means(values, part).means
+        clean_means = block_means(values, part)
         corrupted = values.copy()
         hit = rng.choice(k, size=m, replace=False)
         for j in hit:

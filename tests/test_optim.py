@@ -185,6 +185,56 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
                for a, b in zip(back.steps, trace.steps))
 
 
+@pytest.mark.parametrize("lineno, bad_line, message", [
+    (3, '{"t": 0, "partition_seed": 1, "block": [0], "objective": 0.5}',
+     "line 3: missing field 'k_med'"),
+    (1, '{"meta": {"n": 40, "k": 6, "t": 2, "block_size": 7}}',
+     "line 1: missing field 'final_objective'"),
+    (3, '{"t": 0, "partition_seed": 1,', "line 3: not JSON"),
+    (2, "[1, 2]", "line 2: not a trace record"),
+], ids=["step-field", "meta-field", "not-json", "not-object"])
+def test_trace_from_jsonl_names_path_line_and_field(tmp_path, lineno, bad_line,
+                                                    message):
+    ds = generate_toy(40, 2, 7)
+    cfg = MomGdConfig(k=6, t=2, seed=1, record_selections=True)
+    _, trace = mom_gd_train(ds, LinearModel.zeros(2), cfg)
+    path = tmp_path / "trace.jsonl"
+    trace.to_jsonl(path)
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        TrainTrace.from_jsonl(path)
+    assert str(path) in str(exc.value) and message in str(exc.value)
+
+
+REPLAY_DATA = generate_toy(60, 4, 31)
+
+
+@pytest.mark.parametrize("engine", ["linear", "fast", "full"])
+def test_trace_records_replay_from_partition_seed(engine):
+    # every engine runs the same step loop, so every recorded median block
+    # can be rebuilt from its partition seed and median index alone
+    ds, k, t = REPLAY_DATA, 8, 15
+    if engine == "linear":
+        _, trace = mom_gd_train(ds, LinearModel.zeros(2), MomGdConfig(
+            k=k, t=t, seed=3, record_selections=True))
+    else:
+        train = fast_klr_mom_train if engine == "fast" else klr_mom_train
+        _, trace = train(ds, FastKlrConfig(
+            k=k, t=t, kernel=KernelSpec(kind="rbf", gamma=0.5), seed=3,
+            record_selections=True))
+    assert [rec.t for rec in trace.steps] == list(range(t))
+    for rec in trace.steps:
+        part = random_equipartition(ds.n, k, np.random.default_rng(rec.partition_seed))
+        assert np.array_equal(rec.block, part.block(rec.k_med))
+    seeds = {rec.partition_seed for rec in trace.steps}
+    if engine == "fast":
+        assert len(seeds) == 1
+    else:
+        assert len(seeds) == t
+
+
 def test_mom_objective_cases():
     ds = make_dataset(30, 2, 8)
     rng = np.random.default_rng(0)
@@ -202,7 +252,7 @@ def test_mom_objective_cases():
     assert mom_objective(ds, m, single, LossKind.LOGISTIC) == pytest.approx(emp)
     # random fixture equals the sort-based median of block means
     losses = loss_value(LossKind.LOGISTIC, ds.X @ m.u + m.b, ds.y)
-    means = np.sort(block_means(losses, part).means)
+    means = np.sort(block_means(losses, part))
     assert mom_objective(ds, m, part, LossKind.LOGISTIC) == means[(5 - 1) // 2]
 
 

@@ -37,6 +37,12 @@ def test_counts_require_recording():
         selection_counts(trace, 8)
 
 
+def test_counts_reject_a_sample_count_other_than_the_trace_n():
+    trace = tiny_trace([[2, 5]], n=8, k=4, block_size=2)
+    with pytest.raises(ValueError, match="n=10 .* n=8"):
+        selection_counts(trace, 10)
+
+
 def test_count_conservation_on_real_run():
     ds = generate_toy(100, 8, 3)
     cfg = MomGdConfig(k=12, t=60, seed=4, record_selections=True)
@@ -127,3 +133,12 @@ def test_write_counts_csv(tmp_path):
     assert len(lines) == 13
     fields = lines[1].split(",")
     assert fields[0] == "0" and fields[1] == "0"
+
+
+@pytest.mark.parametrize("n_rows", [55, 150])
+def test_write_counts_csv_refuses_a_dataset_of_another_size(tmp_path, n_rows):
+    sc = SelectionCounts(counts=np.zeros(105, dtype=int), t=1, k=1)
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError, match=f"{n_rows} rows .* n=105"):
+        write_counts_csv(sc, path, generate_toy(n_rows - 5, 5, 1))
+    assert not path.exists()
