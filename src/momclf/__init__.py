@@ -33,6 +33,7 @@ from momclf.model import (
     linear_score,
 )
 from momclf.optim import (
+    METHODS,
     FastKlrConfig,
     MomGdConfig,
     StepSchedule,
@@ -44,6 +45,7 @@ from momclf.optim import (
     median_block_gradient_check,
     mom_gd_train,
     mom_objective,
+    train,
 )
 from momclf.outlier import (
     SelectionCounts,

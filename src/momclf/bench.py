@@ -20,16 +20,15 @@ from scipy.special import expit
 
 from momclf.data import Dataset, generate_gaussians, generate_moons, generate_toy
 from momclf.losses import LossKind, loss_grad_score, loss_value
-from momclf.model import KernelSpec, LinearModel, linear_score, predict
+from momclf.model import LinearModel, linear_score, predict
 from momclf.optim import (
-    FastKlrConfig,
+    KERNEL_METHODS,
+    METHODS,
     MomGdConfig,
     NumericError,
     StepSchedule,
-    erm_gd_train,
-    fast_klr_mom_train,
-    klr_mom_train,
     mom_gd_train,
+    train,
 )
 
 TOY_TEST_SIZE = 500
@@ -62,16 +61,10 @@ class ExperimentReport:
     name: str
     records: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    slope: float | None = None
-    intercept: float | None = None
-    r_squared: float | None = None
 
     def to_json(self, path) -> None:
         payload = {"name": self.name, "records": self.records,
                    "summary": self.summary}
-        if self.slope is not None:
-            payload["fit"] = {"slope": self.slope, "intercept": self.intercept,
-                              "r_squared": self.r_squared}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
 
@@ -132,33 +125,35 @@ def fit_loglog(ns, values) -> tuple[float, float, float, int]:
     return float(coef[0]), float(coef[1]), r2, int(keep.sum())
 
 
-METHODS = ("mom-logistic", "mom-hinge", "erm-logistic", "fast-klr-mom",
-           "klr-mom")
+def _toy_runs(report: ExperimentReport, cells, n_runs: int, master_seed: int,
+              n_inliers: int, n_outliers: int, t: int, eta0: float) -> None:
+    """Append one record per run and (label, method, k) cell to ``report``.
 
-
-def _train_toy_method(method: str, train: Dataset, k: int, t: int,
-                      eta0: float, seed: int):
-    """Train one of ``METHODS`` with inverse-t steps from eta0; the kernel
-    engines use beta = 1e-3 and an RBF kernel of bandwidth 1/p."""
+    Run r draws a corrupted toy training set and a clean test set; cell j
+    trains on it with inverse-t steps from eta0 and seed
+    derive_seed(master_seed, r, 2 + j).  A failed training is recorded
+    with its error and accuracy None, not raised.
+    """
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
     schedule = StepSchedule(kind="inverse-t", eta0=eta0)
-    init = LinearModel.zeros(train.p)
-    if method == "mom-logistic":
-        cfg = MomGdConfig(k=k, t=t, schedule=schedule, loss=LossKind.LOGISTIC,
-                          seed=seed)
-        return mom_gd_train(train, init, cfg)[0]
-    if method == "mom-hinge":
-        cfg = MomGdConfig(k=k, t=t, schedule=schedule, loss=LossKind.HINGE,
-                          seed=seed)
-        return mom_gd_train(train, init, cfg)[0]
-    if method == "erm-logistic":
-        return erm_gd_train(train, init, t, schedule, LossKind.LOGISTIC)
-    if method in ("fast-klr-mom", "klr-mom"):
-        cfg = FastKlrConfig(k=k, t=t, schedule=schedule, beta=1e-3,
-                            kernel=KernelSpec(kind="rbf", gamma=1.0 / train.p),
-                            seed=seed)
-        train_fn = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
-        return train_fn(train, cfg)[0]
-    raise ValueError(f"unknown method {method!r}")
+    for r in range(n_runs):
+        train_set = generate_toy(n_inliers, n_outliers,
+                                 derive_seed(master_seed, r, 0))
+        test = generate_toy(TOY_TEST_SIZE, 0, derive_seed(master_seed, r, 1))
+        for j, (label, method, k) in enumerate(cells):
+            t0 = time.perf_counter()
+            try:
+                model, _ = train(method, train_set, k, t, schedule,
+                                 seed=derive_seed(master_seed, r, 2 + j))
+                acc, err = accuracy(model, test), None
+            except Exception as exc:  # recorded per run, not fatal to the report
+                acc, err = None, repr(exc)
+            report.records.append({
+                "run": r, "method": label, "k": k, "t": t, "accuracy": acc,
+                "wall_time": time.perf_counter() - t0, "error": err,
+            })
+    report.summary = summarize_accuracies(report.records)
 
 
 def run_robustness_experiment(n_runs: int, master_seed: int = 0,
@@ -171,54 +166,28 @@ def run_robustness_experiment(n_runs: int, master_seed: int = 0,
     then trains MOM-logistic, MOM-hinge and the ERM-logistic baseline on
     the same data.  Per-run training failures are recorded, not fatal.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
     report = ExperimentReport(name="robustness")
-    methods = ("mom-logistic", "mom-hinge", "erm-logistic")
-    for r in range(n_runs):
-        train = generate_toy(n_inliers, n_outliers, derive_seed(master_seed, r, 0))
-        test = generate_toy(TOY_TEST_SIZE, 0, derive_seed(master_seed, r, 1))
-        for m_i, method in enumerate(methods):
-            t0 = time.perf_counter()
-            try:
-                model = _train_toy_method(method, train, k, t, eta0,
-                                          derive_seed(master_seed, r, 2 + m_i))
-                acc = accuracy(model, test)
-                err = None
-            except Exception as exc:  # recorded per run, not fatal to the report
-                acc, err = None, repr(exc)
-            report.records.append({
-                "run": r, "method": method, "k": k if method != "erm-logistic" else 1,
-                "t": t, "accuracy": acc, "wall_time": time.perf_counter() - t0,
-                "error": err,
-            })
-    report.summary = summarize_accuracies(report.records)
+    cells = [("mom-logistic", "mom-logistic", k), ("mom-hinge", "mom-hinge", k),
+             ("erm-logistic", "erm-logistic", 1)]
+    _toy_runs(report, cells, n_runs, master_seed, n_inliers, n_outliers, t, eta0)
     return report
 
 
 def run_k_sweep(k_values, n_runs: int, master_seed: int = 0,
                 n_inliers: int = 600, n_outliers: int = 30,
                 t: int = 2000, eta0: float = 0.5) -> ExperimentReport:
-    """Mean MOM-logistic accuracy as a function of the block count K."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-    report = ExperimentReport(name="k-sweep")
+    """Mean MOM-logistic accuracy as a function of the block count K.
+
+    A K whose every run failed has mean accuracy None."""
     for k in k_values:
         if not 1 <= k <= (n_inliers + n_outliers) // 2:
             raise ValueError(f"k={k} outside [1, n/2]")
-    for r in range(n_runs):
-        train = generate_toy(n_inliers, n_outliers, derive_seed(master_seed, r, 0))
-        test = generate_toy(TOY_TEST_SIZE, 0, derive_seed(master_seed, r, 1))
-        for j, k in enumerate(k_values):
-            model = _train_toy_method("mom-logistic", train, k, t, eta0,
-                                      derive_seed(master_seed, r, 2 + j))
-            report.records.append({
-                "run": r, "method": f"mom-logistic-k{k}", "k": k,
-                "accuracy": accuracy(model, test),
-            })
-    report.summary = summarize_accuracies(report.records)
+    report = ExperimentReport(name="k-sweep")
+    cells = [(f"mom-logistic-k{k}", "mom-logistic", k) for k in k_values]
+    _toy_runs(report, cells, n_runs, master_seed, n_inliers, n_outliers, t, eta0)
     report.summary["mean_accuracy_by_k"] = {
-        str(k): report.summary[f"mom-logistic-k{k}"]["mean"] for k in k_values
+        str(k): report.summary[label]["mean"] if label in report.summary else None
+        for label, _, k in cells
     }
     return report
 
@@ -324,7 +293,6 @@ def run_rate_experiment(dataset_kind: str, n_values=RATE_GRID,
         stderr_excess.append(float(np.std(excesses, ddof=1) / np.sqrt(n_runs))
                              if n_runs > 1 else float("nan"))
     slope, intercept, r2, kept = fit_loglog(n_values, mean_excess)
-    report.slope, report.intercept, report.r_squared = slope, intercept, r2
     report.summary = {
         "mean_excess_by_n": dict(zip(map(str, n_values), mean_excess)),
         "stderr_excess_by_n": dict(zip(map(str, n_values), stderr_excess)),
@@ -350,15 +318,16 @@ def run_timing_probe(algorithms, n: int, master_seed: int = 0, k: int = 20,
             raise ValueError(f"unknown algorithm {name!r}; "
                              f"choose from {sorted(METHODS)}")
     report = ExperimentReport(name="timing")
-    train = generate_gaussians(n, derive_seed(master_seed, 0))
+    train_set = generate_gaussians(n, derive_seed(master_seed, 0))
     test = generate_gaussians(n, derive_seed(master_seed, 1))
+    schedule = StepSchedule(kind="inverse-t", eta0=0.5)
     times = {}
     for name in algorithms:
-        t_steps = t_kernel if "klr" in name else t_linear
+        t_steps = t_kernel if name in KERNEL_METHODS else t_linear
         for rep in (2, 3):  # the first run is a discarded warm-up
             t0 = time.perf_counter()
-            model = _train_toy_method(name, train, k, t_steps, 0.5,
-                                      derive_seed(master_seed, rep))
+            model, _ = train(name, train_set, k, t_steps, schedule,
+                             seed=derive_seed(master_seed, rep))
             predict(model, test.X)
             elapsed = time.perf_counter() - t0
         times[name] = elapsed

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from momclf import bench
+from momclf import bench, optim
 from momclf.data import (
     Dataset,
     generate_gaussians,
@@ -23,26 +23,15 @@ from momclf.data import (
     load_csv,
     write_csv,
 )
-from momclf.losses import LossKind
 from momclf.model import (
     KernelSpec,
-    LinearModel,
     default_gamma,
     median_heuristic_gamma,
     model_from_json,
     model_to_json,
     predict,
 )
-from momclf.optim import (
-    FastKlrConfig,
-    MomGdConfig,
-    StepSchedule,
-    TrainTrace,
-    erm_gd_train,
-    fast_klr_mom_train,
-    klr_mom_train,
-    mom_gd_train,
-)
+from momclf.optim import KERNEL_METHODS, METHODS, StepSchedule, TrainTrace
 from momclf.outlier import (
     detection_metrics,
     flag_outliers,
@@ -73,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", required=True)
 
     train = sub.add_parser("train", help="train a classifier on a CSV dataset")
-    train.add_argument("--algo", choices=bench.METHODS, default=None)
+    train.add_argument("--algo", choices=METHODS, default=None)
     train.add_argument("--config", default=None,
                        help="JSON file with training options; explicit flags win")
     train.add_argument("--data", required=True)
@@ -199,8 +188,8 @@ def _train_options(args) -> dict:
         flag_value = getattr(args, key)
         if flag_value is not None:
             opts[key] = flag_value
-    if opts["algo"] not in bench.METHODS:
-        raise ValueError(f"algo must be one of {bench.METHODS}, "
+    if opts["algo"] not in METHODS:
+        raise ValueError(f"algo must be one of {METHODS}, "
                          f"got {opts['algo']!r}")
     return opts
 
@@ -210,27 +199,16 @@ def _cmd_train(args) -> int:
     if args.trace is not None and opts["algo"] == "erm-logistic":
         raise ValueError(f"{opts['algo']} does not record a selection trace")
     ds = load_csv(args.data, _parse_label_column(args.label_column))
-    schedule = StepSchedule(kind=opts["schedule"], eta0=opts["eta0"])
-    if opts["algo"] in ("mom-logistic", "mom-hinge"):
-        loss = LossKind.LOGISTIC if opts["algo"] == "mom-logistic" else LossKind.HINGE
-        cfg = MomGdConfig(k=opts["k"], t=opts["t"], schedule=schedule, loss=loss,
-                          seed=opts["seed"],
-                          record_selections=args.trace is not None,
-                          gradient_mode=opts["gradient_mode"])
-        model, trace = mom_gd_train(ds, LinearModel.zeros(ds.p), cfg)
-    elif opts["algo"] == "erm-logistic":
-        model = erm_gd_train(ds, LinearModel.zeros(ds.p), opts["t"], schedule,
-                             LossKind.LOGISTIC)
-    else:
-        spec = KernelSpec(kind=opts["kernel"],
-                          gamma=_resolve_gamma(opts["gamma"], ds)
-                          if opts["kernel"] == "rbf" else 1.0)
-        cfg = FastKlrConfig(k=opts["k"], t=opts["t"], schedule=schedule,
-                            beta=opts["beta"], kernel=spec, seed=opts["seed"],
-                            record_selections=args.trace is not None)
-        train_fn = (fast_klr_mom_train if opts["algo"] == "fast-klr-mom"
-                    else klr_mom_train)
-        model, trace = train_fn(ds, cfg)
+    kernel = None
+    if opts["algo"] in KERNEL_METHODS:
+        kernel = KernelSpec(kind=opts["kernel"],
+                            gamma=_resolve_gamma(opts["gamma"], ds)
+                            if opts["kernel"] == "rbf" else 1.0)
+    model, trace = optim.train(
+        opts["algo"], ds, opts["k"], opts["t"],
+        StepSchedule(kind=opts["schedule"], eta0=opts["eta0"]),
+        seed=opts["seed"], record_selections=args.trace is not None,
+        gradient_mode=opts["gradient_mode"], beta=opts["beta"], kernel=kernel)
     with open(args.model, "w", encoding="utf-8") as fh:
         fh.write(model_to_json(model))
     print(f"trained {opts['algo']} on {ds.n} samples -> {args.model}")

@@ -11,7 +11,8 @@ All three MOM engines run one step loop and its median-block selection;
 they differ in their parameters, scores and block step.  Of the two kernel
 engines, the fast variant fixes the partition up front and only ever builds
 the K within-block kernel matrices, the full variant redraws it every step
-and scores against the full Gram matrix.
+and scores against the full Gram matrix.  ``train`` is the one map from a
+method name in ``METHODS`` to its configuration and engine.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from momclf.model import (
     KernelSpec,
     LinearModel,
     block_kernel_matrices,
+    default_gamma,
     gram,
 )
 
@@ -220,7 +222,7 @@ def _mom_descent(y, cfg, loss: LossKind, params: tuple, partitions, score, step)
             raise NumericError(f"non-finite parameters at iteration {t}")
         if cfg.record_selections:
             steps.append(IterationRecord(t=t, partition_seed=part_seed,
-                                         k_med=k_med, block=idx,
+                                         k_med=k_med, block=idx.copy(),
                                          objective=float(means[k_med])))
     return params, part, k_med, steps
 
@@ -470,3 +472,38 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
                         partition=part, active_block=k_med, full_support=True)
     return model, trace
+
+
+KERNEL_METHODS = ("fast-klr-mom", "klr-mom")
+METHODS = ("mom-logistic", "mom-hinge", "erm-logistic") + KERNEL_METHODS
+
+
+def train(method: str, ds: Dataset, k: int, t: int, schedule: StepSchedule,
+          seed: int = 0, record_selections: bool = False,
+          gradient_mode: str = "sum", beta: float = 1e-3,
+          kernel: KernelSpec | None = None):
+    """Train one of ``METHODS`` on ``ds`` from zero parameters.
+
+    The linear MOM methods use ``gradient_mode``, the kernel methods
+    ``beta`` and ``kernel`` (default: RBF of bandwidth ``default_gamma(p)``);
+    ERM ignores k, seed and the selection trace.  Returns (model, trace),
+    with trace None for ERM.
+    """
+    if method in ("mom-logistic", "mom-hinge"):
+        loss = LossKind.LOGISTIC if method == "mom-logistic" else LossKind.HINGE
+        cfg = MomGdConfig(k=k, t=t, schedule=schedule, loss=loss, seed=seed,
+                          record_selections=record_selections,
+                          gradient_mode=gradient_mode)
+        return mom_gd_train(ds, LinearModel.zeros(ds.p), cfg)
+    if method == "erm-logistic":
+        return erm_gd_train(ds, LinearModel.zeros(ds.p), t, schedule,
+                            LossKind.LOGISTIC), None
+    if method in KERNEL_METHODS:
+        if kernel is None:
+            kernel = KernelSpec(kind="rbf", gamma=default_gamma(ds.p))
+        cfg = FastKlrConfig(k=k, t=t, schedule=schedule, beta=beta,
+                            kernel=kernel, seed=seed,
+                            record_selections=record_selections)
+        engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
+        return engine(ds, cfg)
+    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")

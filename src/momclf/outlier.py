@@ -29,8 +29,6 @@ class SelectionCounts:
     """Per-sample count of median-block memberships across a descent run."""
 
     counts: np.ndarray
-    t: int
-    k: int
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -55,7 +53,7 @@ def selection_counts(trace: TrainTrace, n: int) -> SelectionCounts:
     counts = np.zeros(n, dtype=np.int64)
     for rec in trace.steps:
         counts[rec.block] += 1
-    return SelectionCounts(counts=counts, t=trace.t, k=trace.k)
+    return SelectionCounts(counts=counts)
 
 
 def flag_outliers(sc: SelectionCounts, threshold: int) -> np.ndarray:

@@ -203,13 +203,14 @@ def test_criterion_7_convergence_rate_slopes():
     gauss = run_rate_experiment("gaussians", n_runs=20, master_seed=71)
     moons = run_rate_experiment("moons", n_runs=20, master_seed=72)
     kept = (gauss.summary["points_kept"], moons.summary["points_kept"])
-    ok_g = -1.4 <= gauss.slope <= -0.8 and gauss.r_squared >= 0.8
-    ok_m = -1.4 <= moons.slope <= -0.35 and moons.r_squared >= 0.8
+    g, m = gauss.summary, moons.summary
+    ok_g = -1.4 <= g["slope"] <= -0.8 and g["r_squared"] >= 0.8
+    ok_m = -1.4 <= m["slope"] <= -0.35 and m["r_squared"] >= 0.8
     assert report(
         "7 (convergence-rate slopes)", ok_g and ok_m and kept == (6, 6),
-        f"gaussians slope {gauss.slope:.3f} R2 {gauss.r_squared:.3f} "
-        f"(need [-1.4,-0.8], R2>=0.8); moons slope {moons.slope:.3f} "
-        f"R2 {moons.r_squared:.3f} (need [-1.4,-0.35], R2>=0.8); points "
+        f"gaussians slope {g['slope']:.3f} R2 {g['r_squared']:.3f} "
+        f"(need [-1.4,-0.8], R2>=0.8); moons slope {m['slope']:.3f} "
+        f"R2 {m['r_squared']:.3f} (need [-1.4,-0.35], R2>=0.8); points "
         f"kept {kept} (need 6 each) [{time.perf_counter() - t0:.0f}s]")
 
 
@@ -288,7 +289,7 @@ def test_criterion_10_determinism():
                                  test_size=2000) for _ in range(2)]
     same &= all(a["excess_risk"] == b["excess_risk"]
                 for a, b in zip(rates[0].records, rates[1].records))
-    same &= rates[0].slope == rates[1].slope
+    same &= rates[0].summary["slope"] == rates[1].summary["slope"]
     timings = [run_timing_probe(["fast-klr-mom"], n=150, master_seed=10, k=5,
                                 t_kernel=5) for _ in range(2)]
     non_timing_equal = all(

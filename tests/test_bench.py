@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import momclf.optim
 from momclf.bench import (
+    TOY_TEST_SIZE,
     ExperimentReport,
+    _toy_runs,
     accuracy,
     derive_seed,
     fit_loglog,
@@ -16,10 +19,10 @@ from momclf.bench import (
     run_timing_probe,
     summarize_accuracies,
 )
-from momclf.data import Dataset, generate_gaussians, generate_moons
+from momclf.data import Dataset, generate_gaussians, generate_moons, generate_toy
 from momclf.losses import LossKind
 from momclf.model import LinearModel
-from momclf.optim import NumericError, StepSchedule, erm_gd_train
+from momclf.optim import NumericError, StepSchedule, erm_gd_train, train
 
 
 def confusion_accuracy_oracle(model, test):
@@ -137,6 +140,44 @@ def test_k_sweep_k1_with_no_outliers_matches_erm():
     by_k = report.summary["mean_accuracy_by_k"]
     assert set(by_k) == {"1", "4"}
     assert 0.0 <= by_k["1"] <= 1.0
+
+
+def test_toy_runs_record_each_cell_trained_with_its_derived_seed():
+    cells = [("a", "mom-logistic", 6), ("b", "mom-hinge", 4),
+             ("c", "fast-klr-mom", 5), ("d", "erm-logistic", 1)]
+    report = ExperimentReport(name="cells")
+    _toy_runs(report, cells, 2, 13, n_inliers=40, n_outliers=3, t=20, eta0=0.5)
+    assert [(rec["run"], rec["method"]) for rec in report.records] == \
+        [(r, label) for r in range(2) for label, _, _ in cells]
+    for rec in report.records:
+        r = rec["run"]
+        j = [label for label, _, _ in cells].index(rec["method"])
+        _, method, k = cells[j]
+        train_set = generate_toy(40, 3, derive_seed(13, r, 0))
+        test = generate_toy(TOY_TEST_SIZE, 0, derive_seed(13, r, 1))
+        model, _ = train(method, train_set, k, 20, StepSchedule("inverse-t", 0.5),
+                         seed=derive_seed(13, r, 2 + j))
+        assert rec["accuracy"] == accuracy(model, test)
+        assert (rec["k"], rec["t"], rec["error"]) == (k, 20, None)
+
+
+def test_k_sweep_records_a_failed_training(monkeypatch):
+    engine = momclf.optim.mom_gd_train
+
+    def fails_at_k4(ds, init, cfg):
+        if cfg.k == 4:
+            raise NumericError("non-finite parameters at iteration 0")
+        return engine(ds, init, cfg)
+
+    monkeypatch.setattr(momclf.optim, "mom_gd_train", fails_at_k4)
+    report = run_k_sweep([2, 4], 2, master_seed=3, n_inliers=40,
+                         n_outliers=2, t=20)
+    failed = [rec for rec in report.records if rec["k"] == 4]
+    assert len(failed) == 2
+    assert all(rec["accuracy"] is None and "NumericError" in rec["error"]
+               for rec in failed)
+    assert report.summary["mean_accuracy_by_k"] == {
+        "2": report.summary["mom-logistic-k2"]["mean"], "4": None}
 
 
 def test_k_sweep_rejects_bad_k():

@@ -144,6 +144,33 @@ def test_bench_timing_cli(tmp_path):
     assert (tmp_path / "timing.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench-robustness", "--runs", "1"],
+    ["bench-ksweep", "--k-values", "10,30", "--runs", "1"],
+], ids=["robustness", "ksweep"])
+def test_bench_toy_experiment_cli(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert main([*argv, "--seed", "1", "--output", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert records and all(rec["error"] is None for rec in records)
+    lines = (tmp_path / "report.csv").read_text().strip().splitlines()
+    assert lines[0] == "accuracy,error,k,method,run,t,wall_time"
+    assert len(lines) == len(records) + 1
+
+
+def test_train_linear_algo_never_resolves_gamma(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma resolved for a linear model")
+
+    monkeypatch.setattr("momclf.cli.median_heuristic_gamma", refuse)
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "40", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    assert main(["train", "--algo", "mom-logistic", "--k", "4", "--t", "10",
+                 "--gamma", "median", "--data", str(data),
+                 "--model", str(tmp_path / "m.json")]) == 0
+
+
 def test_train_config_file_with_flag_override(tmp_path):
     data = tmp_path / "d.csv"
     main(["generate", "--kind", "toy", "--inliers", "60", "--outliers", "4",

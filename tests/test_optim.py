@@ -16,6 +16,7 @@ from momclf.mom import block_means, mom_estimate
 from momclf.model import KernelSpec, LinearModel, gram, record_gram_calls
 from momclf.optim import (
     IRLS_WEIGHT_FLOOR,
+    METHODS,
     FastKlrConfig,
     MomGdConfig,
     StepSchedule,
@@ -27,6 +28,7 @@ from momclf.optim import (
     median_block_gradient_check,
     mom_gd_train,
     mom_objective,
+    train,
     _irls_update,
 )
 
@@ -228,11 +230,61 @@ def test_trace_records_replay_from_partition_seed(engine):
     for rec in trace.steps:
         part = random_equipartition(ds.n, k, np.random.default_rng(rec.partition_seed))
         assert np.array_equal(rec.block, part.block(rec.k_med))
+        # a view would keep the step's whole (k, n // k) partition alive
+        assert rec.block.base is None
     seeds = {rec.partition_seed for rec in trace.steps}
     if engine == "fast":
         assert len(seeds) == 1
     else:
         assert len(seeds) == t
+
+
+def _direct_engine_call(method, ds, k, t, schedule, seed):
+    init = LinearModel.zeros(ds.p)
+    if method == "erm-logistic":
+        return erm_gd_train(ds, init, t, schedule, LossKind.LOGISTIC), None
+    if method in ("mom-logistic", "mom-hinge"):
+        loss = LossKind.LOGISTIC if method == "mom-logistic" else LossKind.HINGE
+        return mom_gd_train(ds, init, MomGdConfig(
+            k=k, t=t, schedule=schedule, loss=loss, seed=seed,
+            record_selections=True))
+    engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
+    return engine(ds, FastKlrConfig(
+        k=k, t=t, schedule=schedule, beta=1e-3,
+        kernel=KernelSpec(kind="rbf", gamma=1.0 / ds.p), seed=seed,
+        record_selections=True))
+
+
+def _model_arrays(model):
+    if isinstance(model, LinearModel):
+        return [model.u, np.float64(model.b)]
+    return [model.alpha, np.int64(model.active_block), model.partition.blocks]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_train_equals_the_direct_engine_call(method):
+    ds, schedule = REPLAY_DATA, StepSchedule("inverse-t", 0.5)
+    model, trace = train(method, ds, 8, 15, schedule, seed=3,
+                         record_selections=True)
+    direct, direct_trace = _direct_engine_call(method, ds, 8, 15, schedule, 3)
+    assert type(model) is type(direct)
+    assert all(a.tobytes() == b.tobytes() for a, b in
+               zip(_model_arrays(model), _model_arrays(direct)))
+    if direct_trace is None:
+        assert trace is None
+        return
+    assert trace.final_objective == direct_trace.final_objective
+    assert len(trace.steps) == len(direct_trace.steps) == 15
+    for rec, ref in zip(trace.steps, direct_trace.steps):
+        assert (rec.partition_seed, rec.k_med, rec.objective) == \
+            (ref.partition_seed, ref.k_med, ref.objective)
+        assert np.array_equal(rec.block, ref.block)
+
+
+def test_train_rejects_an_unknown_method_listing_methods():
+    with pytest.raises(ValueError, match="'svm'") as exc:
+        train("svm", REPLAY_DATA, 8, 15, StepSchedule())
+    assert all(method in str(exc.value) for method in METHODS)
 
 
 def test_mom_objective_cases():

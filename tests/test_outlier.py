@@ -53,7 +53,7 @@ def test_count_conservation_on_real_run():
 
 
 def test_flag_outliers_thresholds():
-    sc = SelectionCounts(counts=np.array([0, 3, 1, 0, 7]), t=7, k=2)
+    sc = SelectionCounts(counts=np.array([0, 3, 1, 0, 7]))
     assert flag_outliers(sc, 0).size == 0
     assert np.array_equal(flag_outliers(sc, 1), [0, 3])
     assert np.array_equal(flag_outliers(sc, 8), [0, 1, 2, 3, 4])
@@ -63,7 +63,7 @@ def test_flag_outliers_thresholds():
 
 def test_flag_outliers_monotone_in_threshold():
     rng = np.random.default_rng(0)
-    sc = SelectionCounts(counts=rng.integers(0, 20, size=50), t=20, k=5)
+    sc = SelectionCounts(counts=rng.integers(0, 20, size=50))
     prev = set()
     for thr in range(0, 22):
         cur = set(flag_outliers(sc, thr).tolist())
@@ -125,7 +125,7 @@ def test_outliers_typically_end_with_null_scores():
 
 def test_write_counts_csv(tmp_path):
     ds = generate_toy(10, 2, 5)
-    sc = SelectionCounts(counts=np.arange(12), t=11, k=3)
+    sc = SelectionCounts(counts=np.arange(12))
     path = tmp_path / "counts.csv"
     write_counts_csv(sc, path, ds)
     lines = path.read_text().strip().splitlines()
@@ -137,7 +137,7 @@ def test_write_counts_csv(tmp_path):
 
 @pytest.mark.parametrize("n_rows", [55, 150])
 def test_write_counts_csv_refuses_a_dataset_of_another_size(tmp_path, n_rows):
-    sc = SelectionCounts(counts=np.zeros(105, dtype=int), t=1, k=1)
+    sc = SelectionCounts(counts=np.zeros(105, dtype=int))
     path = tmp_path / "counts.csv"
     with pytest.raises(ValueError, match=f"{n_rows} rows .* n=105"):
         write_counts_csv(sc, path, generate_toy(n_rows - 5, 5, 1))
