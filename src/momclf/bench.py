@@ -21,15 +21,7 @@ from scipy.special import expit
 from momclf.data import Dataset, generate_gaussians, generate_moons, generate_toy
 from momclf.losses import LossKind, loss_grad_score, loss_value
 from momclf.model import LinearModel, linear_score, predict
-from momclf.optim import (
-    KERNEL_METHODS,
-    METHODS,
-    MomGdConfig,
-    NumericError,
-    StepSchedule,
-    mom_gd_train,
-    train,
-)
+from momclf.optim import KERNEL_METHODS, METHODS, NumericError, StepSchedule, train
 
 TOY_TEST_SIZE = 500
 RATE_TEST_SIZE = 1_000_000
@@ -179,9 +171,12 @@ def run_k_sweep(k_values, n_runs: int, master_seed: int = 0,
     """Mean MOM-logistic accuracy as a function of the block count K.
 
     A K whose every run failed has mean accuracy None."""
+    k_values = list(k_values)
     for k in k_values:
         if not 1 <= k <= (n_inliers + n_outliers) // 2:
             raise ValueError(f"k={k} outside [1, n/2]")
+        if k_values.count(k) > 1:
+            raise ValueError(f"k={k} appears more than once in k_values")
     report = ExperimentReport(name="k-sweep")
     cells = [(f"mom-logistic-k{k}", "mom-logistic", k) for k in k_values]
     _toy_runs(report, cells, n_runs, master_seed, n_inliers, n_outliers, t, eta0)
@@ -248,8 +243,7 @@ def logistic_risk_minimizer(ds: Dataset) -> LinearModel:
 
 def run_rate_experiment(dataset_kind: str, n_values=RATE_GRID,
                         n_runs: int = 20, master_seed: int = 0,
-                        k: int | None = None, t: int = RATE_T,
-                        eta0: float | None = None,
+                        t: int = RATE_T,
                         test_size: int = RATE_TEST_SIZE) -> ExperimentReport:
     """Excess logistic risk of MOM-logistic as the sample size grows.
 
@@ -260,15 +254,15 @@ def run_rate_experiment(dataset_kind: str, n_values=RATE_GRID,
     logistic risk on the test sample minus the reference's, which is
     non-negative by construction.  The report carries the per-n mean and
     standard error of the excess and the least-squares slope of
-    log(mean excess) against log(n).
+    log(mean excess) against log(n).  K, eta0 and the gradient mode come
+    from ``RATE_CONFIG``.
     """
     n_values = list(n_values)
     if len(n_values) < 4 or any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing with >= 4 points")
     gen = _rate_generator(dataset_kind)
-    defaults = RATE_CONFIG[dataset_kind]
-    k = defaults["k"] if k is None else k
-    eta0 = defaults["eta0"] if eta0 is None else eta0
+    config = RATE_CONFIG[dataset_kind]
+    schedule = StepSchedule(kind="inverse-t", eta0=config["eta0"])
     report = ExperimentReport(name=f"rates-{dataset_kind}")
     # derive_seed pads short paths with zeros, so the first path element,
     # not the path length, keeps the three streams apart
@@ -278,13 +272,11 @@ def run_rate_experiment(dataset_kind: str, n_values=RATE_GRID,
     for n in n_values:
         excesses = []
         for r in range(n_runs):
-            train = gen(n, derive_seed(master_seed, 1, n, r))
-            cfg = MomGdConfig(k=min(k, train.n // 2), t=t,
-                              schedule=StepSchedule(kind="inverse-t", eta0=eta0),
-                              loss=LossKind.LOGISTIC,
-                              seed=derive_seed(master_seed, 2, n, r),
-                              gradient_mode=defaults["gradient_mode"])
-            model, _ = mom_gd_train(train, LinearModel.zeros(train.p), cfg)
+            train_set = gen(n, derive_seed(master_seed, 1, n, r))
+            model, _ = train("mom-logistic", train_set,
+                             min(config["k"], train_set.n // 2), t, schedule,
+                             seed=derive_seed(master_seed, 2, n, r),
+                             gradient_mode=config["gradient_mode"])
             excess = logistic_risk(model, test) - reference_risk
             excesses.append(excess)
             report.records.append({"n": n, "run": r, "method": "mom-logistic",

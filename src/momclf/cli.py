@@ -222,7 +222,7 @@ def _cmd_predict(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = model_from_json(fh.read())
     ds = load_csv(args.data, _parse_label_column(args.label_column))
-    labels = np.atleast_1d(predict(model, ds.X))
+    labels = predict(model, ds.X)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("prediction\n")
         for v in labels:

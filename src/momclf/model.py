@@ -1,9 +1,10 @@
 """Linear and kernel classifiers scored as real-valued functions.
 
-Predicted labels are sign(score) with sign(0) = +1.  Kernel models keep one
-coefficient per training sample.  The block-kernel machinery only ever
-materializes within-block Gram matrices; the full N x N Gram is formed only
-by the full-Gram baseline ``optim.klr_mom_train``.
+Predicted labels are sign(score) with sign(0) = +1.  A kernel model scores
+with the expansion over one block of its support points, and its JSON file
+holds only that expansion: 12.7 KB for a fast model at n=4000, K=20, not the
+244 KB of all n points and the partition.  Only within-block Gram matrices
+are built, except by the full-Gram baseline ``optim.klr_mom_train``.
 
 Memory contract: ``gram`` allocates its one output array plus one row tile
 (about ``_TILE_ENTRIES`` float64 entries) of temporaries, and
@@ -20,6 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from momclf.data import Dataset, Partition
+
+# Version of the model JSON files this module writes and reads.
+MODEL_FORMAT = 2
 
 # Entries per row tile of an RBF evaluation: 2 MB of float64.
 _TILE_ENTRIES = 2**18
@@ -96,12 +100,12 @@ def median_heuristic_gamma(X, max_points: int = 500, seed: int = 0) -> float:
 
 @dataclass(frozen=True)
 class KernelModel:
-    """Kernel expansion over training points with block-structured support.
+    """Kernel expansion over support points with block-structured support.
 
-    ``alpha`` has one coefficient per training sample; coefficients of
-    indices dropped by the partition stay identically zero.  Out-of-sample
-    scores use the sub-model of ``active_block`` (the final median block),
-    the one the optimizer returns.
+    ``alpha`` has one coefficient per support point, and ``partition`` runs
+    over the support points.  Scores use only the expansion over
+    ``partition.block(active_block)``: the fast engine's final median block,
+    or one block over every point of a full-Gram or JSON-read model.
     """
 
     alpha: np.ndarray
@@ -109,13 +113,15 @@ class KernelModel:
     kernel: KernelSpec
     partition: Partition
     active_block: int = 0
-    full_support: bool = False
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
         support = np.asarray(self.support, dtype=float)
         if alpha.shape != (support.shape[0],):
             raise ValueError("alpha must have one coefficient per support point")
+        if self.partition.n != support.shape[0]:
+            raise ValueError(f"partition over n={self.partition.n} samples "
+                             f"for {support.shape[0]} support points")
         if not 0 <= self.active_block < self.partition.k:
             raise ValueError(f"active_block {self.active_block} outside "
                              f"[0, {self.partition.k})")
@@ -211,20 +217,17 @@ def block_kernel_matrices(ds: Dataset, partition: Partition, spec: KernelSpec):
 
 
 def kernel_model_score(m: KernelModel, x):
-    """Out-of-sample score via the kernel expansion.
+    """Out-of-sample score via the expansion over the active block.
 
-    Block-trained models score against the active block's support only;
-    full-Gram models score against every support point.  Points are scored
-    one row tile at a time in two reused tile buffers, so the kernel matrix
-    is never held whole; each tile's scores are those of
+    A single point (1-d ``x``) gives a float, a (n, p) batch an n-vector.
+    Points are scored one row tile at a time in two reused tile buffers, so
+    the kernel matrix is never held whole; each tile's scores are those of
     ``gram(m.kernel, rows, support) @ alpha``.
     """
+    single = np.ndim(x) == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    if m.full_support:
-        support, alpha = m.support, m.alpha
-    else:
-        idx = m.partition.block(m.active_block)
-        support, alpha = m.support[idx], m.alpha[idx]
+    idx = m.partition.block(m.active_block)
+    support, alpha = m.support[idx], m.alpha[idx]
     n = x.shape[0]
     step = _tile_rows(support.shape[0])
     tile = _tile_buffer(n, support.shape[0])
@@ -237,46 +240,44 @@ def kernel_model_score(m: KernelModel, x):
         if m.kernel.kind == "rbf":
             _rbf_in_place(m.kernel.gamma, kernel_rows, rows, support, scratch)
         scores[start : start + step] = kernel_rows @ alpha
-    return scores if scores.size > 1 else float(scores[0])
+    return float(scores[0]) if single else scores
 
 
 def predict(model, x):
     """Predicted labels in {-1,+1} with sign(0) = +1."""
-    if isinstance(model, LinearModel):
-        s = linear_score(model, x)
-    else:
-        s = kernel_model_score(model, x)
-    return np.where(np.asarray(s) >= 0.0, 1.0, -1.0)
+    score = linear_score if isinstance(model, LinearModel) else kernel_model_score
+    return np.where(score(model, x) >= 0.0, 1.0, -1.0)
 
 
 def model_to_json(model) -> str:
+    """The model as JSON; a kernel model writes only its active block."""
     if isinstance(model, LinearModel):
-        return json.dumps({"type": "linear", "u": model.u.tolist(), "b": model.b})
-    payload = {
-        "type": "kernel",
-        "alpha": model.alpha.tolist(),
-        "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
-        "blocks": model.partition.blocks.tolist(),
-        "support": model.support.tolist(),
-        "active_block": model.active_block,
-        "full_support": model.full_support,
-    }
-    return json.dumps(payload)
+        return json.dumps({"type": "linear", "format": MODEL_FORMAT,
+                           "u": model.u.tolist(), "b": model.b})
+    idx = model.partition.block(model.active_block)
+    return json.dumps({"type": "kernel", "format": MODEL_FORMAT,
+                       "kernel": {"kind": model.kernel.kind, "gamma": model.kernel.gamma},
+                       "alpha": model.alpha[idx].tolist(),
+                       "support": model.support[idx].tolist()})
 
 
 def model_from_json(text: str):
+    """Read a ``model_to_json`` file; a kernel model comes back as one block.
+    A missing or unknown ``format`` raises ValueError naming the value."""
     obj = json.loads(text)
+    if obj.get("format") != MODEL_FORMAT:
+        found = repr(obj["format"]) if "format" in obj else "missing"
+        raise ValueError(f"model field 'format' is {found}; "
+                         f"this version reads format {MODEL_FORMAT}")
     if obj["type"] == "linear":
         return LinearModel(u=np.asarray(obj["u"], dtype=float), b=float(obj["b"]))
     if obj["type"] == "kernel":
         support = np.asarray(obj["support"], dtype=float)
+        m = support.shape[0]
         return KernelModel(
             alpha=np.asarray(obj["alpha"], dtype=float),
             support=support,
             kernel=KernelSpec(kind=obj["kernel"]["kind"], gamma=obj["kernel"]["gamma"]),
-            partition=Partition(blocks=np.asarray(obj["blocks"], dtype=np.intp),
-                                n=support.shape[0]),
-            active_block=int(obj["active_block"]),
-            full_support=bool(obj.get("full_support", False)),
+            partition=Partition(blocks=np.arange(m)[None, :], n=m),
         )
     raise ValueError(f"unknown model type {obj.get('type')!r}")

@@ -398,9 +398,9 @@ def _klr_descent(y, cfg: FastKlrConfig, partitions, score, block_design):
     ``block_design(j, idx)`` the kernel matrix of block j.  Each step moves
     the median block (by mean logistic loss) towards its IRLS target and
     shrinks every other coefficient by (1 - eta_t).  Returns (alpha, last
-    partition, last median block, trace).  The trace's final objective is
-    the one the IRLS step is stationary for: mean loss + (beta / 2m)
-    a_B' K_B a_B on the median block B of the final coefficients.
+    median block, trace).  The trace's final objective is the one the IRLS
+    step is stationary for: mean loss + (beta / 2m) a_B' K_B a_B on the
+    median block B of the final coefficients.
     """
     def step(params, scores, k_med, idx, eta):
         (alpha,) = params
@@ -419,7 +419,7 @@ def _klr_descent(y, cfg: FastKlrConfig, partitions, score, block_design):
     penalty = cfg.beta / (2 * part.block_size) * float(a @ block_design(j, idx) @ a)
     trace = TrainTrace(steps=steps, final_objective=float(means[j]) + penalty,
                        n=y.size, k=cfg.k, t=cfg.t, block_size=part.block_size)
-    return alpha, part, k_med, trace
+    return alpha, k_med, trace
 
 
 def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
@@ -445,7 +445,7 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
             s[idx] = mat @ alpha[idx]
         return s
 
-    alpha, _, k_med, trace = _klr_descent(
+    alpha, k_med, trace = _klr_descent(
         y, cfg, itertools.repeat((part_seed, part)), score,
         lambda j, idx: mats[j])
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
@@ -459,18 +459,19 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     The comparison baseline for the fast variant: it materializes the whole
     N x N Gram matrix, redraws the partition at every step, and scores each
     sample against the full support, so every step pays the full quadratic
-    kernel cost.  Same step loop as the fast variant.
+    kernel cost.  Same step loop as the fast variant; the model's partition
+    is one block over all n points.
     """
     X, y = ds.training_arrays()
     n = ds.n
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
     full = gram(cfg.kernel, X, X, idx_rows=np.arange(n), idx_cols=np.arange(n))
-    alpha, part, k_med, trace = _klr_descent(
+    alpha, _, trace = _klr_descent(
         y, cfg, _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed)),
         lambda alpha: full @ alpha, lambda j, idx: full[np.ix_(idx, idx)])
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
-                        partition=part, active_block=k_med, full_support=True)
+                        partition=Partition(blocks=np.arange(n)[None, :], n=n))
     return model, trace
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import momclf.optim
 from momclf.bench import (
+    RATE_CONFIG,
     TOY_TEST_SIZE,
     ExperimentReport,
     _toy_runs,
@@ -111,6 +112,21 @@ def test_rate_experiment_excess_is_non_negative_and_kept(kind):
     assert report.summary["points_kept"] == len(grid)
 
 
+def test_rate_records_are_mom_logistic_trained_with_derived_seeds():
+    grid, t = (60, 120, 240, 480), 40
+    report = run_rate_experiment("gaussians", n_values=grid, n_runs=1,
+                                 master_seed=4, t=t, test_size=2000)
+    test = generate_gaussians(2000, derive_seed(4, 0))
+    reference = logistic_risk(logistic_risk_minimizer(test), test)
+    cfg = RATE_CONFIG["gaussians"]
+    for rec, n in zip(report.records, grid):
+        model, _ = train("mom-logistic", generate_gaussians(n, derive_seed(4, 1, n, 0)),
+                         cfg["k"], t, StepSchedule("inverse-t", cfg["eta0"]),
+                         seed=derive_seed(4, 2, n, 0),
+                         gradient_mode=cfg["gradient_mode"])
+        assert rec["excess_risk"] == logistic_risk(model, test) - reference
+
+
 def test_robustness_report_structure_small():
     report = run_robustness_experiment(2, master_seed=5, n_inliers=60,
                                        n_outliers=4, k=12, t=100)
@@ -185,6 +201,11 @@ def test_k_sweep_rejects_bad_k():
         run_k_sweep([0], 1, n_inliers=40, n_outliers=0, t=10)
     with pytest.raises(ValueError):
         run_k_sweep([30], 1, n_inliers=40, n_outliers=0, t=10)
+
+
+def test_k_sweep_rejects_a_repeated_k():
+    with pytest.raises(ValueError, match="k=4 appears more than once"):
+        run_k_sweep([2, 4, 4], 1, n_inliers=40, n_outliers=0, t=10)
 
 
 def test_timing_probe_single_algorithm():

@@ -5,6 +5,8 @@ import pytest
 
 from momclf.cli import main
 from momclf.data import load_csv
+from momclf.model import predict
+from momclf.optim import StepSchedule, train
 
 
 def test_unknown_flag_rejected(capsys):
@@ -124,7 +126,38 @@ def test_train_kernel_algo(tmp_path):
                  "--seed", "1"]) == 0
     obj = json.loads(model.read_text())
     assert obj["type"] == "kernel"
-    assert len(obj["alpha"]) == 120
+    # only the active block's expansion is written: n // k = 30 points
+    assert len(obj["alpha"]) == len(obj["support"]) == 30
+
+
+@pytest.mark.parametrize("algo", ["fast-klr-mom", "klr-mom"])
+def test_kernel_predictions_from_the_file_equal_the_trained_model(tmp_path, algo):
+    data = tmp_path / "g.csv"
+    model = tmp_path / "m.json"
+    preds = tmp_path / "p.csv"
+    main(["generate", "--kind", "gaussians", "--n", "120", "--seed", "2",
+          "--output", str(data)])
+    assert main(["train", "--algo", algo, "--k", "4", "--t", "10",
+                 "--data", str(data), "--model", str(model),
+                 "--seed", "1"]) == 0
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--output", str(preds)]) == 0
+    ds = load_csv(data)
+    trained, _ = train(algo, ds, 4, 10, StepSchedule("inverse-t", 0.5), seed=1)
+    written = np.loadtxt(preds, skiprows=1)
+    assert np.array_equal(written, predict(trained, ds.X))
+
+
+def test_predict_rejects_a_model_file_without_format(tmp_path, capsys):
+    data = tmp_path / "g.csv"
+    model = tmp_path / "m.json"
+    main(["generate", "--kind", "gaussians", "--n", "20", "--seed", "2",
+          "--output", str(data)])
+    model.write_text(json.dumps({"type": "linear", "u": [1.0, 0.0], "b": 0.0}))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--output", str(tmp_path / "p.csv")]) == 1
+    assert "'format' is missing" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -156,6 +189,14 @@ def test_bench_toy_experiment_cli(tmp_path, argv):
     lines = (tmp_path / "report.csv").read_text().strip().splitlines()
     assert lines[0] == "accuracy,error,k,method,run,t,wall_time"
     assert len(lines) == len(records) + 1
+
+
+def test_bench_ksweep_rejects_a_repeated_k(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["bench-ksweep", "--k-values", "10,10", "--runs", "1",
+                 "--output", str(out)]) == 1
+    assert "k=10 appears more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_linear_algo_never_resolves_gamma(tmp_path, monkeypatch):

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from momclf.data import Dataset, random_equipartition
+from momclf.data import Dataset, Partition, random_equipartition
 from momclf.model import (
     KernelModel,
     KernelSpec,
@@ -232,77 +235,111 @@ def test_model_json_round_trip_linear():
     assert np.array_equal(back.u, m.u) and back.b == m.b
 
 
+def _kernel_model(active_block=1, n=6, k=2):
+    ds = _dataset(6, 2, 8)
+    part = random_equipartition(n, k, np.random.default_rng(6))
+    return KernelModel(alpha=np.arange(6, dtype=float), support=ds.X,
+                       kernel=KernelSpec(kind="rbf", gamma=0.3),
+                       partition=part, active_block=active_block)
+
+
 def test_model_json_round_trip_kernel():
-    ds = _dataset(6, 2, 8)
-    part = random_equipartition(6, 2, np.random.default_rng(6))
-    m = KernelModel(alpha=np.arange(6, dtype=float), support=ds.X,
-                    kernel=KernelSpec(kind="rbf", gamma=0.3),
-                    partition=part, active_block=1)
-    back = model_from_json(model_to_json(m))
-    assert np.array_equal(back.alpha, m.alpha)
-    assert np.array_equal(back.support, m.support)
-    assert back.kernel == m.kernel
-    assert np.array_equal(back.partition.blocks, m.partition.blocks)
-    assert back.active_block == 1
-    x = np.array([0.1, 0.2])
-    assert kernel_model_score(back, x) == pytest.approx(
-        kernel_model_score(m, x), rel=1e-12)
-
-
-def _kernel_model_json(blocks=None, active_block=1):
-    ds = _dataset(6, 2, 8)
-    part = random_equipartition(6, 2, np.random.default_rng(6))
-    m = KernelModel(alpha=np.arange(6, dtype=float), support=ds.X,
-                    kernel=KernelSpec(kind="rbf", gamma=0.3),
-                    partition=part, active_block=1)
+    m = _kernel_model()
+    # only the active block's expansion is written
     obj = json.loads(model_to_json(m))
-    if blocks is not None:
-        obj["blocks"] = blocks
-    obj["active_block"] = active_block
-    return json.dumps(obj)
-
-
-def test_model_from_json_rejects_overlapping_blocks():
-    with pytest.raises(ValueError, match="disjoint"):
-        model_from_json(_kernel_model_json([[0, 1, 2], [2, 3, 4]]))
-
-
-def test_model_from_json_rejects_unsorted_blocks():
-    with pytest.raises(ValueError, match="ascending"):
-        model_from_json(_kernel_model_json([[2, 0, 4], [1, 3, 5]]))
+    assert set(obj) == {"type", "format", "kernel", "alpha", "support"}
+    back = model_from_json(model_to_json(m))
+    idx = m.partition.block(1)
+    assert np.array_equal(back.alpha, m.alpha[idx])
+    assert np.array_equal(back.support, m.support[idx])
+    assert back.kernel == m.kernel
+    assert np.array_equal(back.partition.blocks, [np.arange(3)])
+    assert back.active_block == 0
+    x = np.array([[0.1, 0.2], [-1.0, 0.5]])
+    assert np.array_equal(kernel_model_score(back, x), kernel_model_score(m, x))
 
 
 @pytest.mark.parametrize("active_block", [-1, 2, 7])
-def test_model_from_json_rejects_active_block_out_of_range(active_block):
+def test_kernel_model_rejects_active_block_out_of_range(active_block):
     with pytest.raises(ValueError, match="active_block"):
-        model_from_json(_kernel_model_json(active_block=active_block))
-    assert model_from_json(_kernel_model_json(active_block=0)).active_block == 0
+        _kernel_model(active_block=active_block)
+    assert _kernel_model(active_block=0).active_block == 0
 
 
-def _scoring_model(full_support, kind, n_support=1500, k=5, seed=12):
+@pytest.mark.parametrize("n", [10, 4])
+def test_kernel_model_rejects_a_partition_over_other_samples(n):
+    with pytest.raises(ValueError, match=f"n={n} samples for 6 support points"):
+        _kernel_model(active_block=0, n=n)
+
+
+@pytest.mark.parametrize("value, found", [(None, "missing"), (1, "1"), ("2", "'2'")],
+                         ids=["missing", "old", "string"])
+@pytest.mark.parametrize("model", [
+    LinearModel(u=np.array([1.0, -2.0]), b=0.5), _kernel_model()],
+    ids=["linear", "kernel"])
+def test_model_from_json_rejects_a_missing_or_unknown_format(model, value, found):
+    obj = json.loads(model_to_json(model))
+    del obj["format"]
+    if value is not None:
+        obj["format"] = value
+    with pytest.raises(ValueError, match=f"'format' is {found};"):
+        model_from_json(json.dumps(obj))
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _models_and_points(draw):
+    p = draw(st.integers(1, 4))
+    points = draw(hnp.arrays(float, (draw(st.integers(1, 5)), p), elements=_finite))
+    if draw(st.booleans()):
+        u = draw(hnp.arrays(float, p, elements=_finite))
+        return LinearModel(u=u, b=draw(_finite)), points
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    kernel = draw(st.sampled_from([
+        KernelSpec(kind="linear"),
+        KernelSpec(kind="rbf", gamma=draw(st.floats(1e-3, 1e3)))]))
+    part = random_equipartition(n, k, np.random.default_rng(draw(st.integers(0, 99))))
+    model = KernelModel(alpha=draw(hnp.arrays(float, n, elements=_finite)),
+                        support=draw(hnp.arrays(float, (n, p), elements=_finite)),
+                        kernel=kernel, partition=part,
+                        active_block=draw(st.integers(0, k - 1)))
+    return model, points
+
+
+@given(_models_and_points())
+@settings(max_examples=150, deadline=None)
+def test_model_json_round_trip_scores_bitwise(model_and_points):
+    model, x = model_and_points
+    back = model_from_json(model_to_json(model))
+    score = linear_score if isinstance(model, LinearModel) else kernel_model_score
+    assert score(back, x).tobytes() == score(model, x).tobytes()
+    assert score(back, x[0]) == score(model, x[0])
+
+
+def _scoring_model(one_block, kind, n_support=1500, k=5, seed=12):
     rng = np.random.default_rng(seed)
     support = rng.standard_normal((n_support, 3))
     kernel = (KernelSpec(kind="rbf", gamma=0.4) if kind == "rbf"
               else KernelSpec(kind="linear"))
-    part = random_equipartition(n_support, k, np.random.default_rng(seed + 1))
+    if one_block:
+        part = Partition(blocks=np.arange(n_support)[None, :], n=n_support)
+    else:
+        part = random_equipartition(n_support, k, np.random.default_rng(seed + 1))
     return KernelModel(alpha=rng.standard_normal(n_support), support=support,
-                       kernel=kernel, partition=part, active_block=2,
-                       full_support=full_support)
-
-
-def _scored_support(m):
-    if m.full_support:
-        return m.support, m.alpha
-    idx = m.partition.block(m.active_block)
-    return m.support[idx], m.alpha[idx]
+                       kernel=kernel, partition=part,
+                       active_block=0 if one_block else 2)
 
 
 @pytest.mark.parametrize("kind", ["rbf", "linear"])
-@pytest.mark.parametrize("full_support", [True, False], ids=["full", "block"])
-def test_streamed_kernel_model_score_matches_whole_gram(full_support, kind):
-    m = _scoring_model(full_support, kind)
+@pytest.mark.parametrize("one_block", [True, False], ids=["full", "block"])
+def test_streamed_kernel_model_score_matches_whole_gram(one_block, kind):
+    m = _scoring_model(one_block, kind)
     x = np.random.default_rng(13).standard_normal((1200, 3))
-    support, alpha = _scored_support(m)
+    idx = m.partition.block(m.active_block)
+    support, alpha = m.support[idx], m.alpha[idx]
     whole = gram(m.kernel, x, support) @ alpha
     scores = kernel_model_score(m, x)
     # Tiles change the row count of each BLAS product, which may round
@@ -317,14 +354,23 @@ def test_streamed_kernel_model_score_matches_whole_gram(full_support, kind):
     assert np.array_equal(scores, tiled)
 
 
-@pytest.mark.parametrize("full_support", [True, False], ids=["full", "block"])
-def test_kernel_model_score_single_point_is_float(full_support):
-    m = _scoring_model(full_support, "rbf", n_support=40)
+@pytest.mark.parametrize("one_block", [True, False], ids=["full", "block"])
+def test_kernel_model_score_single_point_is_float(one_block):
+    m = _scoring_model(one_block, "rbf", n_support=40)
     x = np.array([0.1, -0.2, 0.3])
     score = kernel_model_score(m, x)
     assert isinstance(score, float)
-    support, alpha = _scored_support(m)
-    assert score == (gram(m.kernel, x[None], support) @ alpha)[0]
+    idx = m.partition.block(m.active_block)
+    assert score == (gram(m.kernel, x[None], m.support[idx]) @ m.alpha[idx])[0]
+
+
+@pytest.mark.parametrize("model", [
+    LinearModel(u=np.array([0.5, -1.0, 2.0]), b=0.1),
+    _scoring_model(False, "rbf", n_support=40)], ids=["linear", "kernel"])
+def test_predict_of_a_one_row_batch_has_shape_one(model):
+    x = np.array([[0.1, -0.2, 0.3]])
+    assert predict(model, x).shape == (1,)
+    assert predict(model, x[0]).shape == ()
 
 
 def test_kernel_model_score_never_holds_the_test_by_support_matrix():

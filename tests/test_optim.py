@@ -469,13 +469,14 @@ def test_fast_klr_never_crosses_blocks():
     assert cross == 0
 
 
-def test_full_klr_mom_trains_and_uses_full_support():
+def test_full_klr_mom_trains_and_scores_with_one_block_over_all_points():
     ds = separable_blobs(60, 21)
     cfg = FastKlrConfig(k=3, t=10, schedule=StepSchedule("inverse-t", 0.8),
                         beta=1e-3, kernel=KernelSpec(kind="rbf", gamma=0.5),
                         seed=11)
     model, _ = klr_mom_train(ds, cfg)
-    assert model.full_support
+    assert model.active_block == 0
+    assert np.array_equal(model.partition.blocks, [np.arange(60)])
     from momclf.bench import accuracy
     assert accuracy(model, separable_blobs(100, 22)) >= 0.9
 
