@@ -38,7 +38,6 @@ from momclf.optim import (
     MomGdConfig,
     StepSchedule,
     TrainTrace,
-    erm_gd_train,
     expected_mom_objective,
     fast_klr_mom_train,
     klr_mom_train,

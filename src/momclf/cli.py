@@ -196,8 +196,6 @@ def _train_options(args) -> dict:
 
 def _cmd_train(args) -> int:
     opts = _train_options(args)
-    if args.trace is not None and opts["algo"] == "erm-logistic":
-        raise ValueError(f"{opts['algo']} does not record a selection trace")
     ds = load_csv(args.data, _parse_label_column(args.label_column))
     kernel = None
     if opts["algo"] in KERNEL_METHODS:

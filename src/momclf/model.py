@@ -117,6 +117,9 @@ class KernelModel:
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
         support = np.asarray(self.support, dtype=float)
+        if support.ndim != 2:
+            raise ValueError("support must be a 2-d (points, features) array, "
+                             f"got shape {support.shape}")
         if alpha.shape != (support.shape[0],):
             raise ValueError("alpha must have one coefficient per support point")
         if self.partition.n != support.shape[0]:
@@ -226,6 +229,9 @@ def kernel_model_score(m: KernelModel, x):
     """
     single = np.ndim(x) == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[-1] != m.support.shape[1]:
+        raise ValueError(f"feature dimension {x.shape[-1]} != model dimension "
+                         f"{m.support.shape[1]}")
     idx = m.partition.block(m.active_block)
     support, alpha = m.support[idx], m.alpha[idx]
     n = x.shape[0]
@@ -261,23 +267,34 @@ def model_to_json(model) -> str:
                        "support": model.support[idx].tolist()})
 
 
+def _field(obj: dict, *path: str):
+    """The value at ``path`` in a model file; ValueError if it is missing."""
+    for depth, key in enumerate(path):
+        if key not in obj:
+            raise ValueError(f"model field {'.'.join(path[:depth + 1])!r} is missing")
+        obj = obj[key]
+    return obj
+
+
 def model_from_json(text: str):
     """Read a ``model_to_json`` file; a kernel model comes back as one block.
-    A missing or unknown ``format`` raises ValueError naming the value."""
+    A missing field, or an unknown ``format``, raises ValueError naming it."""
     obj = json.loads(text)
     if obj.get("format") != MODEL_FORMAT:
         found = repr(obj["format"]) if "format" in obj else "missing"
         raise ValueError(f"model field 'format' is {found}; "
                          f"this version reads format {MODEL_FORMAT}")
-    if obj["type"] == "linear":
-        return LinearModel(u=np.asarray(obj["u"], dtype=float), b=float(obj["b"]))
-    if obj["type"] == "kernel":
-        support = np.asarray(obj["support"], dtype=float)
+    kind = _field(obj, "type")
+    if kind == "linear":
+        return LinearModel(u=_field(obj, "u"), b=float(_field(obj, "b")))
+    if kind == "kernel":
+        support = np.asarray(_field(obj, "support"), dtype=float)
         m = support.shape[0]
         return KernelModel(
-            alpha=np.asarray(obj["alpha"], dtype=float),
+            alpha=_field(obj, "alpha"),
             support=support,
-            kernel=KernelSpec(kind=obj["kernel"]["kind"], gamma=obj["kernel"]["gamma"]),
+            kernel=KernelSpec(kind=_field(obj, "kernel", "kind"),
+                              gamma=_field(obj, "kernel", "gamma")),
             partition=Partition(blocks=np.arange(m)[None, :], n=m),
         )
-    raise ValueError(f"unknown model type {obj.get('type')!r}")
+    raise ValueError(f"unknown model type {kind!r}")

@@ -1,5 +1,5 @@
-"""Descent engines: MOM gradient descent, an ERM baseline, and the
-block-kernel logistic-regression variants.
+"""Descent engines: MOM gradient descent and the block-kernel
+logistic-regression variants.
 
 MOM gradient descent redraws a uniform random equipartition at every step,
 locates the block whose mean loss is the median, and descends along the sum
@@ -7,7 +7,9 @@ of that block's per-sample gradients:
 
     u_{t+1} = u_t - eta_t * sum_{i in B_med} grad loss_i(u_t)
 
-All three MOM engines run one step loop and its median-block selection;
+With one block the median of means is the empirical mean, so ERM is the
+K=1 run in block-mean form: full-batch gradient descent on the empirical
+risk.  All three MOM engines run one step loop and its median-block selection;
 they differ in their parameters, scores and block step.  Of the two kernel
 engines, the fast variant fixes the partition up front and only ever builds
 the K within-block kernel matrices, the full variant redraws it every step
@@ -51,8 +53,8 @@ class NumericError(RuntimeError):
 class StepSchedule:
     """Step sizes eta_t.  'inverse-t' is eta0/(t+1), which satisfies the
     divergent-sum / convergent-square-sum conditions the convergence theory
-    needs; 'constant' is eta0 for every t and is meant for the deterministic
-    ERM baseline and diagnostics only.
+    needs; 'constant' is eta0 for every t and is meant for deterministic
+    full-batch descent (K=1, which is ERM) and diagnostics only.
     """
 
     kind: str = "inverse-t"
@@ -78,7 +80,7 @@ class MomGdConfig:
     """Configuration of a MOM gradient-descent run.
 
     The descent algorithm is stated for K in [3, N/2]; K=1 and K=2 are
-    accepted anyway because K=1 is the ERM-equivalent path and the K-sweep
+    accepted anyway because K=1 in block-mean form *is* ERM and the K-sweep
     benchmark scans the whole range.  ``gradient_mode`` selects the literal
     block-sum update ('sum', the default) or the block-mean form ('mean'),
     which is the same algorithm with eta rescaled by the block size.
@@ -193,11 +195,14 @@ class TrainTrace:
 def _redrawn_partitions(n: int, k: int, rng):
     """Endless (seed, partition) pairs: each partition is drawn from a
     fresh generator seeded by the next 63-bit draw of ``rng``, so a trace
-    can replay any step from its recorded seed."""
-    while True:
+    can replay any step from its recorded seed.  At k=1 every draw is the
+    one block arange(n), so the first pair repeats."""
+    def draw():
         part_seed = int(rng.integers(_SEED_BOUND))
-        yield part_seed, random_equipartition(
+        return part_seed, random_equipartition(
             n, k, np.random.default_rng(part_seed))
+
+    return itertools.repeat(draw()) if k == 1 else iter(draw, None)
 
 
 def _mom_descent(y, cfg, loss: LossKind, params: tuple, partitions, score, step):
@@ -240,9 +245,6 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
     n = ds.n
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
-    if cfg.schedule.kind == "constant":
-        warnings.warn("constant step size violates the convergence conditions; "
-                      "intended for diagnostics only", stacklevel=2)
     if init.u.shape[0] != ds.p:
         raise ValueError("init dimension does not match the dataset")
     block_size = n // cfg.k
@@ -264,30 +266,6 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
                        final_objective=mom_objective(ds, model, final_part, cfg.loss),
                        n=n, k=cfg.k, t=cfg.t, block_size=block_size)
     return model, trace
-
-
-def erm_gd_train(ds: Dataset, init: LinearModel, t: int,
-                 schedule: StepSchedule, loss: LossKind) -> LinearModel:
-    """Full-batch gradient descent on the empirical risk (1/N) sum of losses.
-
-    Deterministic given its inputs.  With k=1 the MOM engine takes the same
-    steps up to the eta rescaling between the block-sum and mean forms.
-    """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    X, y = ds.training_arrays()
-    n = ds.n
-    u = init.u.copy()
-    b = init.b
-    for step in range(t):
-        scores = X @ u + b
-        g = loss_grad_score(loss, scores, y)
-        eta = schedule.rate(step)
-        u = u - eta * (X.T @ g) / n
-        b = b - eta * g.mean()
-        if not (np.isfinite(u).all() and np.isfinite(b)):
-            raise NumericError(f"non-finite parameters at iteration {step}")
-    return LinearModel(u=u, b=b)
 
 
 def mom_objective(ds: Dataset, m: LinearModel, partition: Partition,
@@ -486,19 +464,22 @@ def train(method: str, ds: Dataset, k: int, t: int, schedule: StepSchedule,
     """Train one of ``METHODS`` on ``ds`` from zero parameters.
 
     The linear MOM methods use ``gradient_mode``, the kernel methods
-    ``beta`` and ``kernel`` (default: RBF of bandwidth ``default_gamma(p)``);
-    ERM ignores k, seed and the selection trace.  Returns (model, trace),
-    with trace None for ERM.
+    ``beta`` and ``kernel`` (default: RBF of bandwidth ``default_gamma(p)``).
+    ERM is MOM-logistic at K=1 in block-mean form, so it ignores ``k`` and
+    ``gradient_mode``.  A constant step warns only for MOM at K > 1.
+    Returns (model, trace).
     """
-    if method in ("mom-logistic", "mom-hinge"):
-        loss = LossKind.LOGISTIC if method == "mom-logistic" else LossKind.HINGE
+    if method in ("mom-logistic", "mom-hinge", "erm-logistic"):
+        if method == "erm-logistic":
+            k, gradient_mode = 1, "mean"
+        if k > 1 and schedule.kind == "constant":
+            warnings.warn("constant step size violates the convergence conditions; "
+                          "intended for diagnostics only", stacklevel=2)
+        loss = LossKind.HINGE if method == "mom-hinge" else LossKind.LOGISTIC
         cfg = MomGdConfig(k=k, t=t, schedule=schedule, loss=loss, seed=seed,
                           record_selections=record_selections,
                           gradient_mode=gradient_mode)
         return mom_gd_train(ds, LinearModel.zeros(ds.p), cfg)
-    if method == "erm-logistic":
-        return erm_gd_train(ds, LinearModel.zeros(ds.p), t, schedule,
-                            LossKind.LOGISTIC), None
     if method in KERNEL_METHODS:
         if kernel is None:
             kernel = KernelSpec(kind="rbf", gamma=default_gamma(ds.p))

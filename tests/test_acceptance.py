@@ -37,10 +37,10 @@ from momclf.optim import (
     FastKlrConfig,
     MomGdConfig,
     StepSchedule,
-    erm_gd_train,
     fast_klr_mom_train,
     median_block_gradient_check,
     mom_gd_train,
+    train,
 )
 from momclf.outlier import selection_counts
 
@@ -119,21 +119,28 @@ def test_criterion_3_gradient_correctness():
                   f"deviation {worst:.2e} (tol 1e-5); loss-gradient FD ok={grad_ok}")
 
 
+def _full_batch_descent(ds, t, schedule):
+    """Oracle for criterion 4: t steps of plain full-batch gradient descent
+    on the empirical logistic risk (1/N) sum of losses, from zero."""
+    X, y = ds.training_arrays()
+    u, b = np.zeros(ds.p), 0.0
+    for step in range(t):
+        g = loss_grad_score(LossKind.LOGISTIC, X @ u + b, y)
+        eta = schedule.rate(step)
+        u = u - eta * (X.T @ g) / ds.n
+        b = b - eta * g.mean()
+    return LinearModel(u=u, b=b)
+
+
 def test_criterion_4_k1_equals_erm():
     rng = np.random.default_rng(104)
     ds = Dataset(X=rng.standard_normal((80, 3)),
                  y=rng.choice([-1.0, 1.0], size=80))
     schedule = StepSchedule("inverse-t", 0.4)
-    init = LinearModel.zeros(3)
     worst = 0.0
-    erm = init
-    mom = init
     for step in range(1, 201):
-        erm = erm_gd_train(ds, init, step, schedule, LossKind.LOGISTIC)
-        cfg = MomGdConfig(k=1, t=step, schedule=schedule,
-                          loss=LossKind.LOGISTIC, seed=0,
-                          gradient_mode="mean")
-        mom, _ = mom_gd_train(ds, init, cfg)
+        erm = _full_batch_descent(ds, step, schedule)
+        mom, _ = train("erm-logistic", ds, 1, step, schedule)
         params_e = np.r_[erm.u, erm.b]
         params_m = np.r_[mom.u, mom.b]
         denom = np.maximum(np.abs(params_e), 1e-300)

@@ -21,9 +21,8 @@ from momclf.bench import (
     summarize_accuracies,
 )
 from momclf.data import Dataset, generate_gaussians, generate_moons, generate_toy
-from momclf.losses import LossKind
 from momclf.model import LinearModel
-from momclf.optim import NumericError, StepSchedule, erm_gd_train, train
+from momclf.optim import NumericError, StepSchedule, train
 
 
 def confusion_accuracy_oracle(model, test):
@@ -82,9 +81,8 @@ def test_fit_loglog_drops_non_positive_with_warning():
 def test_logistic_risk_minimizer_beats_gradient_descent():
     ds = generate_moons(400, 0.3, 4)
     best = logistic_risk_minimizer(ds)
-    descent = erm_gd_train(ds, LinearModel.zeros(2), 2000,
-                           StepSchedule(kind="constant", eta0=2.0),
-                           LossKind.LOGISTIC)
+    descent, _ = train("erm-logistic", ds, 1, 2000,
+                       StepSchedule(kind="constant", eta0=2.0))
     assert logistic_risk(best, ds) <= logistic_risk(descent, ds)
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -6,7 +6,7 @@ import pytest
 from momclf.cli import main
 from momclf.data import load_csv
 from momclf.model import predict
-from momclf.optim import StepSchedule, train
+from momclf.optim import StepSchedule, TrainTrace, train
 
 
 def test_unknown_flag_rejected(capsys):
@@ -160,6 +160,20 @@ def test_predict_rejects_a_model_file_without_format(tmp_path, capsys):
     assert "'format' is missing" in capsys.readouterr().err
 
 
+def test_predict_names_a_missing_model_field(tmp_path, capsys):
+    data = tmp_path / "g.csv"
+    model = tmp_path / "m.json"
+    main(["generate", "--kind", "gaussians", "--n", "20", "--seed", "2",
+          "--output", str(data)])
+    model.write_text(json.dumps({"type": "kernel", "format": 2,
+                                 "kernel": {"kind": "rbf", "gamma": 1.0},
+                                 "alpha": [1.0]}))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--output", str(tmp_path / "p.csv")]) == 1
+    assert "model field 'support' is missing" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     code = main(["train", "--algo", "mom-logistic", "--data",
                  str(tmp_path / "missing.csv"), "--model",
@@ -236,20 +250,29 @@ def test_train_config_file_with_flag_override(tmp_path):
                  "--model", str(tmp_path / "m4.json")]) == 1
 
 
-def test_train_trace_with_erm_fails_before_writing_model(tmp_path, capsys):
+def test_train_erm_trace_selects_every_sample_at_every_step(tmp_path, capsys):
     data = tmp_path / "d.csv"
     main(["generate", "--kind", "toy", "--inliers", "40", "--outliers", "2",
           "--seed", "1", "--output", str(data)])
+    # the default --k of 120 exceeds n = 42; ERM ignores it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algo": "erm-logistic", "t": 20}))
-    model = tmp_path / "m.json"
-    capsys.readouterr()
+    trace_path = tmp_path / "t.jsonl"
+    scores = tmp_path / "s.csv"
     assert main(["train", "--config", str(cfg), "--data", str(data),
-                 "--model", str(model),
-                 "--trace", str(tmp_path / "t.jsonl")]) == 1
-    err = capsys.readouterr().err
-    assert "erm-logistic does not record a selection trace" in err
-    assert not model.exists()
+                 "--model", str(tmp_path / "m.json"),
+                 "--trace", str(trace_path)]) == 0
+    trace = TrainTrace.from_jsonl(trace_path)
+    assert (trace.n, trace.k, trace.t, trace.block_size) == (42, 1, 20, 42)
+    assert len(trace.steps) == 20
+    assert len({rec.partition_seed for rec in trace.steps}) == 1
+    assert all(np.array_equal(rec.block, np.arange(42)) for rec in trace.steps)
+    capsys.readouterr()
+    assert main(["outlier-scores", "--trace", str(trace_path), "--threshold",
+                 "1", "--data", str(data), "--output", str(scores)]) == 0
+    assert "0 flagged below threshold 1" in capsys.readouterr().out
+    rows = scores.read_text().strip().splitlines()[1:]
+    assert [int(r.split(",")[1]) for r in rows] == [20] * 42
 
 
 def test_full_toy_round_trip_under_60s(tmp_path):

@@ -286,6 +286,43 @@ def test_model_from_json_rejects_a_missing_or_unknown_format(model, value, found
         model_from_json(json.dumps(obj))
 
 
+_REQUIRED_FIELDS = (
+    [("linear", path) for path in (("type",), ("u",), ("b",))]
+    + [("kernel", path) for path in (("type",), ("kernel",), ("kernel", "kind"),
+                                     ("kernel", "gamma"), ("alpha",), ("support",))])
+
+
+@pytest.mark.parametrize("kind, path", _REQUIRED_FIELDS,
+                         ids=[f"{kind}-{'.'.join(path)}" for kind, path in _REQUIRED_FIELDS])
+def test_model_from_json_names_a_missing_field(kind, path):
+    model = LinearModel(u=np.array([1.0, -2.0]), b=0.5) if kind == "linear" \
+        else _kernel_model()
+    obj = json.loads(model_to_json(model))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    with pytest.raises(ValueError, match=f"model field '{'.'.join(path)}' is missing"):
+        model_from_json(json.dumps(obj))
+
+
+def test_kernel_model_rejects_a_support_that_is_not_2d():
+    text = json.dumps({"type": "kernel", "format": 2,
+                       "kernel": {"kind": "rbf", "gamma": 1.0},
+                       "alpha": [1.0], "support": [1.0]})
+    with pytest.raises(ValueError, match=r"2-d .* got shape \(1,\)"):
+        model_from_json(text)
+
+
+@pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3)), np.zeros((4, 1))],
+                         ids=["point", "batch", "narrow-batch"])
+def test_kernel_model_score_names_both_feature_counts(x):
+    m = _kernel_model()  # p = 2
+    with pytest.raises(ValueError, match=f"feature dimension {x.shape[-1]} "
+                                         "!= model dimension 2"):
+        kernel_model_score(m, x)
+
+
 _finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import expit
 
+import momclf.optim
 from momclf.bench import accuracy
 from momclf.data import (
     Dataset,
@@ -21,7 +24,6 @@ from momclf.optim import (
     MomGdConfig,
     StepSchedule,
     TrainTrace,
-    erm_gd_train,
     expected_mom_objective,
     fast_klr_mom_train,
     klr_mom_train,
@@ -92,7 +94,9 @@ def test_erm_zero_gradient_start_is_identity():
     y = np.array([1.0, -1.0])
     ds = Dataset(X=X, y=y)
     u0 = LinearModel(u=np.array([1.0, 0.0]), b=0.0)
-    out = erm_gd_train(ds, u0, 5, StepSchedule("inverse-t", 0.5), LossKind.HINGE)
+    cfg = MomGdConfig(k=1, t=5, schedule=StepSchedule("inverse-t", 0.5),
+                      loss=LossKind.HINGE, gradient_mode="mean")
+    out, _ = mom_gd_train(ds, u0, cfg)
     assert np.array_equal(out.u, u0.u) and out.b == u0.b
 
 
@@ -119,27 +123,12 @@ def test_k1_single_step_matches_full_batch_oracle():
     assert model.b == pytest.approx(exp_b, rel=1e-12)
 
 
-def test_k1_mom_reproduces_erm_iterates():
-    # mean-form MOM with k=1 takes exactly the ERM steps
-    ds = make_dataset(60, 2, 3)
-    schedule = StepSchedule("inverse-t", 0.4)
-    u0 = LinearModel.zeros(2)
-    erm = erm_gd_train(ds, u0, 200, schedule, LossKind.LOGISTIC)
-    cfg = MomGdConfig(k=1, t=200, schedule=schedule, loss=LossKind.LOGISTIC,
-                      seed=0, gradient_mode="mean")
-    mom, _ = mom_gd_train(ds, u0, cfg)
-    np.testing.assert_allclose(mom.u, erm.u, rtol=1e-12)
-    assert mom.b == pytest.approx(erm.b, rel=1e-12)
-
-
 def test_erm_loss_decreases_on_separable_pair():
     ds = Dataset(X=np.array([[1.0, 0.0], [-1.0, 0.0]]),
                  y=np.array([1.0, -1.0]))
-    u = LinearModel.zeros(2)
     prev = np.inf
     for t in range(1, 6):
-        out = erm_gd_train(ds, u, t, StepSchedule("inverse-t", 0.5),
-                           LossKind.LOGISTIC)
+        out, _ = train("erm-logistic", ds, 1, t, StepSchedule("inverse-t", 0.5))
         cur = float(np.mean(loss_value(LossKind.LOGISTIC,
                                        ds.X @ out.u + out.b, ds.y)))
         assert cur < prev
@@ -242,7 +231,9 @@ def test_trace_records_replay_from_partition_seed(engine):
 def _direct_engine_call(method, ds, k, t, schedule, seed):
     init = LinearModel.zeros(ds.p)
     if method == "erm-logistic":
-        return erm_gd_train(ds, init, t, schedule, LossKind.LOGISTIC), None
+        return mom_gd_train(ds, init, MomGdConfig(
+            k=1, t=t, schedule=schedule, loss=LossKind.LOGISTIC, seed=seed,
+            record_selections=True, gradient_mode="mean"))
     if method in ("mom-logistic", "mom-hinge"):
         loss = LossKind.LOGISTIC if method == "mom-logistic" else LossKind.HINGE
         return mom_gd_train(ds, init, MomGdConfig(
@@ -270,15 +261,57 @@ def test_train_equals_the_direct_engine_call(method):
     assert type(model) is type(direct)
     assert all(a.tobytes() == b.tobytes() for a, b in
                zip(_model_arrays(model), _model_arrays(direct)))
-    if direct_trace is None:
-        assert trace is None
-        return
     assert trace.final_objective == direct_trace.final_objective
     assert len(trace.steps) == len(direct_trace.steps) == 15
     for rec, ref in zip(trace.steps, direct_trace.steps):
         assert (rec.partition_seed, rec.k_med, rec.objective) == \
             (ref.partition_seed, ref.k_med, ref.objective)
         assert np.array_equal(rec.block, ref.block)
+
+
+def test_k1_draws_its_one_partition_once(monkeypatch):
+    calls = []
+
+    def counted(n, k, rng):
+        calls.append(k)
+        return random_equipartition(n, k, rng)
+
+    monkeypatch.setattr(momclf.optim, "random_equipartition", counted)
+    cfg = MomGdConfig(k=1, t=25, seed=4, record_selections=True)
+    _, trace = mom_gd_train(REPLAY_DATA, LinearModel.zeros(2), cfg)
+    assert calls == [1]
+    assert len({rec.partition_seed for rec in trace.steps}) == 1
+    assert all(np.array_equal(rec.block, np.arange(REPLAY_DATA.n))
+               for rec in trace.steps)
+
+
+def test_erm_is_bitwise_independent_of_seed_and_k():
+    schedule = StepSchedule("inverse-t", 0.5)
+    ref, ref_trace = train("erm-logistic", REPLAY_DATA, 8, 40, schedule, seed=0)
+    for k, seed in ((8, 1), (120, 2**40), (1, 7)):
+        out, trace = train("erm-logistic", REPLAY_DATA, k, 40, schedule,
+                           seed=seed, gradient_mode="sum")
+        assert out.u.tobytes() == ref.u.tobytes() and out.b == ref.b
+        assert trace.final_objective == ref_trace.final_objective
+    X, y = REPLAY_DATA.training_arrays()
+    # with one block the trace's final objective is the empirical risk
+    assert ref_trace.final_objective == pytest.approx(
+        float(np.mean(loss_value(LossKind.LOGISTIC, X @ ref.u + ref.b, y))),
+        rel=1e-15)
+
+
+def test_constant_step_warning_points_at_the_caller_of_train():
+    with pytest.warns(UserWarning, match="constant step size") as record:
+        train("mom-logistic", REPLAY_DATA, 8, 5, StepSchedule("constant", 0.1))
+    assert [w.filename for w in record] == [__file__]
+
+
+@pytest.mark.parametrize("method, k", [("erm-logistic", 120),
+                                       ("mom-logistic", 1), ("mom-hinge", 1)])
+def test_constant_step_at_one_block_does_not_warn(method, k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        train(method, REPLAY_DATA, k, 5, StepSchedule("constant", 2.0))
 
 
 def test_train_rejects_an_unknown_method_listing_methods():
