@@ -267,9 +267,19 @@ def model_to_json(model) -> str:
                        "support": model.support[idx].tolist()})
 
 
+def _json_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; ValueError naming ``name`` if not."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _field(obj: dict, *path: str):
-    """The value at ``path`` in a model file; ValueError if it is missing."""
+    """The value at ``path`` in a model file; ValueError if it is missing or
+    a level above it is not a JSON object."""
     for depth, key in enumerate(path):
+        if depth:
+            _json_object(obj, f"model field {'.'.join(path[:depth])!r}")
         if key not in obj:
             raise ValueError(f"model field {'.'.join(path[:depth + 1])!r} is missing")
         obj = obj[key]
@@ -278,8 +288,9 @@ def _field(obj: dict, *path: str):
 
 def model_from_json(text: str):
     """Read a ``model_to_json`` file; a kernel model comes back as one block.
-    A missing field, or an unknown ``format``, raises ValueError naming it."""
-    obj = json.loads(text)
+    A missing or malformed field, or an unknown ``format``, raises ValueError
+    naming it."""
+    obj = _json_object(json.loads(text), "a model file")
     if obj.get("format") != MODEL_FORMAT:
         found = repr(obj["format"]) if "format" in obj else "missing"
         raise ValueError(f"model field 'format' is {found}; "
@@ -289,6 +300,9 @@ def model_from_json(text: str):
         return LinearModel(u=_field(obj, "u"), b=float(_field(obj, "b")))
     if kind == "kernel":
         support = np.asarray(_field(obj, "support"), dtype=float)
+        if support.ndim != 2:
+            raise ValueError("model field 'support' must be a 2-d (points, features) "
+                             f"array, got shape {support.shape}")
         m = support.shape[0]
         return KernelModel(
             alpha=_field(obj, "alpha"),

@@ -174,6 +174,19 @@ def test_predict_names_a_missing_model_field(tmp_path, capsys):
     assert "model field 'support' is missing" in capsys.readouterr().err
 
 
+def test_predict_names_a_model_field_of_the_wrong_type(tmp_path, capsys):
+    data = tmp_path / "g.csv"
+    model = tmp_path / "m.json"
+    main(["generate", "--kind", "gaussians", "--n", "20", "--seed", "2",
+          "--output", str(data)])
+    model.write_text(json.dumps({"type": "kernel", "format": 2, "kernel": 3,
+                                 "alpha": [1.0], "support": [[0.0, 0.0]]}))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(model), "--data", str(data),
+                 "--output", str(tmp_path / "p.csv")]) == 1
+    assert "model field 'kernel' must be a JSON object" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path, capsys):
     code = main(["train", "--algo", "mom-logistic", "--data",
                  str(tmp_path / "missing.csv"), "--model",

@@ -125,3 +125,28 @@ def test_vectorized_evaluation():
     assert np.array_equal(v, [3.0, 1.0, 0.0])
     g = loss_grad_score(LossKind.LOGISTIC, s, y)
     assert g.shape == (3,)
+
+
+def _ulps_apart(a, b):
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 700.0])
+def test_logistic_within_4_ulp_of_logaddexp(scale):
+    m = scale * np.random.default_rng(0).standard_normal(20_000)
+    assert (m > 0).any() and (m < 0).any()
+    got = loss_value(LossKind.LOGISTIC, m, np.ones_like(m))
+    assert _ulps_apart(got, np.logaddexp(0.0, -m)).max() <= 4
+
+
+@pytest.mark.parametrize("m", [0.0, -0.0], ids=["+0", "-0"])
+def test_logistic_at_a_signed_zero_margin_is_log_2(m):
+    assert loss_value(LossKind.LOGISTIC, m, 1.0) == math.log(2.0)
+
+
+@pytest.mark.parametrize("m", [1e308, -1e308, 710.0, -710.0, 5e-324, -5e-324])
+def test_logistic_extreme_margins_match_logaddexp_without_warnings(m):
+    # Underflow is left alone: exp(-1e308) underflows to 0 on purpose.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = loss_value(LossKind.LOGISTIC, np.array([m]), np.ones(1))
+        assert got[0] == np.logaddexp(0.0, -m)

@@ -314,6 +314,20 @@ def test_kernel_model_rejects_a_support_that_is_not_2d():
         model_from_json(text)
 
 
+def _kernel_file(**fields):
+    return json.dumps({**json.loads(model_to_json(_kernel_model())), **fields})
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "a model file must be a JSON object, got list"),
+    (_kernel_file(support=5.0), r"model field 'support' must be a 2-d .* got shape \(\)"),
+    (_kernel_file(kernel=3), "model field 'kernel' must be a JSON object, got int"),
+], ids=["top-level-list", "scalar-support", "scalar-kernel"])
+def test_model_from_json_names_a_field_of_the_wrong_type(text, message):
+    with pytest.raises(ValueError, match=message):
+        model_from_json(text)
+
+
 @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3)), np.zeros((4, 1))],
                          ids=["point", "batch", "narrow-batch"])
 def test_kernel_model_score_names_both_feature_counts(x):

@@ -158,6 +158,26 @@ def test_mom_gd_determinism():
     assert tra.final_objective == trb.final_objective
 
 
+def test_vectorized_logistic_loss_drives_the_same_steps_as_logaddexp(monkeypatch):
+    # The logistic loss is a few ulp from np.logaddexp(0, -m); the gradient is
+    # untouched, so the run moves only if a median block flips.
+    def logaddexp_loss(kind, score, y):
+        assert kind is LossKind.LOGISTIC
+        return np.logaddexp(0.0, -np.asarray(y, dtype=float) * score)
+
+    ds = generate_toy(300, 15, 4)
+    cfg = MomGdConfig(k=15, t=400, seed=21, record_selections=True)
+    runs = [mom_gd_train(ds, LinearModel.zeros(2), cfg)]
+    monkeypatch.setattr(momclf.optim, "loss_value", logaddexp_loss)
+    runs.append(mom_gd_train(ds, LinearModel.zeros(2), cfg))
+    (a, tra), (b, trb) = runs
+    assert [r.k_med for r in tra.steps] == [r.k_med for r in trb.steps]
+    assert np.array_equal(a.u, b.u) and a.b == b.b
+    objectives = [[r.objective for r in tr.steps] + [tr.final_objective]
+                  for tr in (tra, trb)]
+    np.testing.assert_allclose(*objectives, rtol=1e-15, atol=0)
+
+
 def test_trace_records_and_jsonl_round_trip(tmp_path):
     ds = generate_toy(40, 2, 7)
     cfg = MomGdConfig(k=6, t=25, seed=1, record_selections=True)
