@@ -286,6 +286,29 @@ def _field(obj: dict, *path: str):
     return obj
 
 
+def _numbers(obj: dict, *path: str) -> np.ndarray:
+    """The float array at ``path`` in a model file; ValueError naming the
+    field unless it is a JSON number or a nested list of them (no booleans)."""
+    value = _field(obj, *path)
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValueError(f"model field {'.'.join(path)!r} must hold JSON numbers, "
+                         f"got {json.dumps(value)[:40]}")
+    return array.astype(float)
+
+
+def _number(obj: dict, *path: str) -> float:
+    """The JSON number at ``path`` in a model file, as a float."""
+    value = _numbers(obj, *path)
+    if value.ndim != 0:
+        raise ValueError(f"model field {'.'.join(path)!r} must be a number, "
+                         f"got shape {value.shape}")
+    return float(value)
+
+
 def model_from_json(text: str):
     """Read a ``model_to_json`` file; a kernel model comes back as one block.
     A missing or malformed field, or an unknown ``format``, raises ValueError
@@ -297,18 +320,18 @@ def model_from_json(text: str):
                          f"this version reads format {MODEL_FORMAT}")
     kind = _field(obj, "type")
     if kind == "linear":
-        return LinearModel(u=_field(obj, "u"), b=float(_field(obj, "b")))
+        return LinearModel(u=_numbers(obj, "u"), b=_number(obj, "b"))
     if kind == "kernel":
-        support = np.asarray(_field(obj, "support"), dtype=float)
+        support = _numbers(obj, "support")
         if support.ndim != 2:
             raise ValueError("model field 'support' must be a 2-d (points, features) "
                              f"array, got shape {support.shape}")
         m = support.shape[0]
         return KernelModel(
-            alpha=_field(obj, "alpha"),
+            alpha=_numbers(obj, "alpha"),
             support=support,
             kernel=KernelSpec(kind=_field(obj, "kernel", "kind"),
-                              gamma=_field(obj, "kernel", "gamma")),
+                              gamma=_number(obj, "kernel", "gamma")),
             partition=Partition(blocks=np.arange(m)[None, :], n=m),
         )
     raise ValueError(f"unknown model type {kind!r}")

@@ -10,7 +10,10 @@ of that block's per-sample gradients:
 With one block the median of means is the empirical mean, so ERM is the
 K=1 run in block-mean form: full-batch gradient descent on the empirical
 risk.  All three MOM engines run one step loop and its median-block selection;
-they differ in their parameters, scores and block step.  Of the two kernel
+they differ in their parameters, initial scores and block step, which returns
+the next parameters and the scores at them: X u + b for the linear engine, and
+for the kernel engines the rank-|B| update (1 - eta) s + K[:, B] d, which costs
+O(n |B|) instead of the O(n^2) of rescoring K alpha.  Of the two kernel
 engines, the fast variant fixes the partition up front and only ever builds
 the K within-block kernel matrices, the full variant redraws it every step
 and scores against the full Gram matrix.  ``train`` is the one map from a
@@ -205,31 +208,31 @@ def _redrawn_partitions(n: int, k: int, rng):
     return itertools.repeat(draw()) if k == 1 else iter(draw, None)
 
 
-def _mom_descent(y, cfg, loss: LossKind, params: tuple, partitions, score, step):
+def _mom_descent(y, cfg, loss: LossKind, params: tuple, scores, partitions, step):
     """The step loop of every MOM engine.
 
-    ``params`` is a tuple of parameter arrays, ``partitions`` yields a
-    (seed, Partition) per step, ``score(params)`` returns the n-vector of
-    sample scores and ``step(params, scores, k_med, idx, eta)`` the
-    parameters after a step on the median block ``idx``.  Each step scores
-    the samples, picks the block whose mean ``loss`` is the median, steps
-    on it and records the selection when ``cfg.record_selections`` is set.
-    Returns (params, last partition, last median block, records).
+    ``params`` is a tuple of parameter arrays and ``scores`` the n-vector of
+    sample scores at ``params``; ``partitions`` yields a (seed, Partition)
+    per step.  ``step(params, scores, k_med, idx, eta)`` returns the
+    parameters after a step on the median block ``idx`` and the scores at
+    those parameters, so the loop never rescores from scratch.  Each step
+    picks the block whose mean ``loss`` is the median, steps on it and
+    records the selection when ``cfg.record_selections`` is set.  Returns
+    (params, scores, last partition, last median block, records).
     """
     steps = []
     for t, (part_seed, part) in zip(range(cfg.t), partitions):
-        scores = score(params)
         means = block_means(loss_value(loss, scores, y), part)
         k_med = median_block_index(means)
         idx = part.block(k_med)
-        params = step(params, scores, k_med, idx, cfg.schedule.rate(t))
+        params, scores = step(params, scores, k_med, idx, cfg.schedule.rate(t))
         if not all(np.isfinite(v).all() for v in params):
             raise NumericError(f"non-finite parameters at iteration {t}")
         if cfg.record_selections:
             steps.append(IterationRecord(t=t, partition_seed=part_seed,
                                          k_med=k_med, block=idx.copy(),
                                          objective=float(means[k_med])))
-    return params, part, k_med, steps
+    return params, scores, part, k_med, steps
 
 
 def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
@@ -254,18 +257,19 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
         g = loss_grad_score(cfg.loss, scores[idx], y[idx])
         if cfg.gradient_mode == "mean":
             g = g / block_size
-        return u - eta * (X[idx].T @ g), b - eta * g.sum()
+        u, b = u - eta * (X[idx].T @ g), b - eta * g.sum()
+        return (u, b), X @ u + b
 
     partitions = _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed))
-    (u, b), _, _, steps = _mom_descent(
-        y, cfg, cfg.loss, (init.u.copy(), init.b), partitions,
-        lambda params: X @ params[0] + params[1], step)
-    model = LinearModel(u=u, b=b)
+    (u, b), scores, _, _, steps = _mom_descent(
+        y, cfg, cfg.loss, (init.u.copy(), init.b), X @ init.u + init.b,
+        partitions, step)
     _, final_part = next(partitions)
     trace = TrainTrace(steps=steps,
-                       final_objective=mom_objective(ds, model, final_part, cfg.loss),
+                       final_objective=mom_estimate(loss_value(cfg.loss, scores, y),
+                                                    final_part),
                        n=n, k=cfg.k, t=cfg.t, block_size=block_size)
-    return model, trace
+    return LinearModel(u=u, b=b), trace
 
 
 def mom_objective(ds: Dataset, m: LinearModel, partition: Partition,
@@ -369,28 +373,33 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     return alpha_block * (1.0 - eta) + eta * target
 
 
-def _klr_descent(y, cfg: FastKlrConfig, partitions, score, block_design):
+def _klr_descent(y, cfg: FastKlrConfig, partitions, block_design, columns):
     """MOM descent of both kernel engines on the coefficients alpha.
 
-    ``score(alpha)`` returns the n-vector of sample scores and
-    ``block_design(j, idx)`` the kernel matrix of block j.  Each step moves
-    the median block (by mean logistic loss) towards its IRLS target and
-    shrinks every other coefficient by (1 - eta_t).  Returns (alpha, last
-    median block, trace).  The trace's final objective is the one the IRLS
-    step is stationary for: mean loss + (beta / 2m) a_B' K_B a_B on the
-    median block B of the final coefficients.
+    ``block_design(j, idx)`` returns the kernel matrix of block j and
+    ``columns(j, idx, d)`` the n-vector K[:, idx] @ d.  Each step moves the
+    median block B (by mean logistic loss) towards its IRLS target and
+    shrinks every other coefficient by (1 - eta_t), so the scores, zero at
+    alpha = 0, are carried as (1 - eta_t) s + K[:, B] d, with d the block's
+    change beyond the shrink.  The IRLS step reads only within-block scores,
+    so the carried ones only rank the blocks.  Returns (alpha, last median
+    block, trace).  The trace's final objective is the one the IRLS step is
+    stationary for: mean loss + (beta / 2m) a_B' K_B a_B on the median block
+    B of the final coefficients.
     """
     def step(params, scores, k_med, idx, eta):
         (alpha,) = params
         new_alpha = alpha * (1.0 - eta)
-        new_alpha[idx] = _irls_update(block_design(k_med, idx), alpha[idx],
-                                      y[idx], cfg.beta, eta)
-        return (new_alpha,)
+        target = _irls_update(block_design(k_med, idx), alpha[idx], y[idx],
+                              cfg.beta, eta)
+        d = target - new_alpha[idx]
+        new_alpha[idx] = target
+        return (new_alpha,), scores * (1.0 - eta) + columns(k_med, idx, d)
 
-    (alpha,), part, k_med, steps = _mom_descent(
-        y, cfg, LossKind.LOGISTIC, (np.zeros(y.size),), partitions,
-        lambda params: score(params[0]), step)
-    means = block_means(loss_value(LossKind.LOGISTIC, score(alpha), y), part)
+    (alpha,), scores, part, k_med, steps = _mom_descent(
+        y, cfg, LossKind.LOGISTIC, (np.zeros(y.size),), np.zeros(y.size),
+        partitions, step)
+    means = block_means(loss_value(LossKind.LOGISTIC, scores, y), part)
     j = median_block_index(means)
     idx = part.block(j)
     a = alpha[idx]
@@ -415,17 +424,16 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     part_seed, part = next(_redrawn_partitions(n, cfg.k,
                                                np.random.default_rng(cfg.seed)))
     mats = block_kernel_matrices(ds, part, cfg.kernel)
-    blocks = [part.block(j) for j in range(cfg.k)]
 
-    def score(alpha):
-        s = np.zeros(n)
-        for idx, mat in zip(blocks, mats):
-            s[idx] = mat @ alpha[idx]
-        return s
+    def columns(j, idx, d):
+        # block j's kernel columns are zero outside block j
+        out = np.zeros(n)
+        out[idx] = mats[j] @ d
+        return out
 
     alpha, k_med, trace = _klr_descent(
-        y, cfg, itertools.repeat((part_seed, part)), score,
-        lambda j, idx: mats[j])
+        y, cfg, itertools.repeat((part_seed, part)), lambda j, idx: mats[j],
+        columns)
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
                         partition=part, active_block=k_med)
     return model, trace
@@ -445,9 +453,11 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
     full = gram(cfg.kernel, X, X, idx_rows=np.arange(n), idx_cols=np.arange(n))
+    # The training Gram is exactly symmetric (tests/test_model.py pins it), so
+    # a contiguous row gather full[idx] gives the columns K[:, idx].
     alpha, _, trace = _klr_descent(
         y, cfg, _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed)),
-        lambda alpha: full @ alpha, lambda j, idx: full[np.ix_(idx, idx)])
+        lambda j, idx: full[np.ix_(idx, idx)], lambda j, idx, d: d @ full[idx])
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
                         partition=Partition(blocks=np.arange(n)[None, :], n=n))
     return model, trace

@@ -150,6 +150,15 @@ def test_training_gram_equals_untiled_reference_bitwise(spec, n):
     assert np.array_equal(gram(spec, X, X), untiled_gram_reference(spec, X, X))
 
 
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+@pytest.mark.parametrize("n", [TILE_1500 + 1, 700, 1500])
+def test_training_gram_is_exactly_symmetric(spec, n):
+    # klr_mom_train reads the kernel columns K[:, B] as the rows K[B]
+    X = np.random.default_rng(n).standard_normal((n, 2))
+    G = gram(spec, X, X)
+    assert np.array_equal(G, G.T)
+
+
 def test_gram_peak_memory_is_output_plus_one_tile():
     X = np.random.default_rng(9).standard_normal((1500, 2))
     G, peak = traced_peak(gram, KernelSpec(kind="rbf", gamma=0.5), X, X)
@@ -318,11 +327,29 @@ def _kernel_file(**fields):
     return json.dumps({**json.loads(model_to_json(_kernel_model())), **fields})
 
 
+def _linear_file(**fields):
+    model = LinearModel(u=np.array([1.0, -2.0]), b=0.5)
+    return json.dumps({**json.loads(model_to_json(model)), **fields})
+
+
 @pytest.mark.parametrize("text, message", [
     ("[]", "a model file must be a JSON object, got list"),
     (_kernel_file(support=5.0), r"model field 'support' must be a 2-d .* got shape \(\)"),
     (_kernel_file(kernel=3), "model field 'kernel' must be a JSON object, got int"),
-], ids=["top-level-list", "scalar-support", "scalar-kernel"])
+    (_kernel_file(kernel={"kind": "rbf", "gamma": "x"}),
+     "model field 'kernel.gamma' must hold JSON numbers"),
+    (_kernel_file(kernel={"kind": "rbf", "gamma": None}),
+     "model field 'kernel.gamma' must hold JSON numbers"),
+    (_kernel_file(kernel={"kind": "rbf", "gamma": [1.0]}),
+     r"model field 'kernel.gamma' must be a number, got shape \(1,\)"),
+    (_kernel_file(kernel={"kind": "rbf", "gamma": True}),
+     "model field 'kernel.gamma' must hold JSON numbers, got true"),
+    (_linear_file(b="x"), "model field 'b' must hold JSON numbers"),
+    (_linear_file(u="ab"), "model field 'u' must hold JSON numbers"),
+    (_kernel_file(alpha=["x"]), "model field 'alpha' must hold JSON numbers"),
+], ids=["top-level-list", "scalar-support", "scalar-kernel", "string-gamma",
+        "null-gamma", "list-gamma", "boolean-gamma", "string-b", "string-u",
+        "string-alpha"])
 def test_model_from_json_names_a_field_of_the_wrong_type(text, message):
     with pytest.raises(ValueError, match=message):
         model_from_json(text)

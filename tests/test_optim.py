@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -15,8 +16,14 @@ from momclf.data import (
     random_equipartition,
 )
 from momclf.losses import LossKind, loss_grad_score, loss_value
-from momclf.mom import block_means, mom_estimate
-from momclf.model import KernelSpec, LinearModel, gram, record_gram_calls
+from momclf.mom import block_means, median_block_index, mom_estimate
+from momclf.model import (
+    KernelSpec,
+    LinearModel,
+    block_kernel_matrices,
+    gram,
+    record_gram_calls,
+)
 from momclf.optim import (
     IRLS_WEIGHT_FLOOR,
     METHODS,
@@ -32,6 +39,7 @@ from momclf.optim import (
     mom_objective,
     train,
     _irls_update,
+    _redrawn_partitions,
 )
 
 
@@ -633,3 +641,72 @@ def test_klr_final_objective_is_the_stationary_objective(train):
     gradient = G @ loss_grad_score(LossKind.LOGISTIC, scores, ds.y) / m \
         + beta / m * scores
     assert np.linalg.norm(gradient) < 1e-10
+
+
+def _exact_score_klr(ds, cfg, fast):
+    """Both kernel engines' descent, rescoring K alpha from scratch at every
+    step: per-block products for the fast engine, G @ alpha for the full
+    one.  Returns (alpha, k_med per step, objective per step, final
+    objective)."""
+    X, y = ds.training_arrays()
+    partitions = _redrawn_partitions(ds.n, cfg.k, np.random.default_rng(cfg.seed))
+    if fast:
+        part = next(partitions)[1]
+        partitions = itertools.repeat((None, part))
+        mats = block_kernel_matrices(ds, part, cfg.kernel)
+
+        def design(j, idx):
+            return mats[j]
+
+        def score(alpha):
+            s = np.zeros(ds.n)
+            for j, mat in enumerate(mats):
+                idx = part.block(j)
+                s[idx] = mat @ alpha[idx]
+            return s
+    else:
+        G = gram(cfg.kernel, X, X)
+
+        def design(j, idx):
+            return G[np.ix_(idx, idx)]
+
+        def score(alpha):
+            return G @ alpha
+
+    alpha = np.zeros(ds.n)
+    k_meds, objectives = [], []
+    for t in range(cfg.t):
+        _, part = next(partitions)
+        means = block_means(loss_value(LossKind.LOGISTIC, score(alpha), y), part)
+        j = median_block_index(means)
+        idx = part.block(j)
+        eta = cfg.schedule.rate(t)
+        new_alpha = alpha * (1.0 - eta)
+        new_alpha[idx] = _irls_update(design(j, idx), alpha[idx], y[idx],
+                                      cfg.beta, eta)
+        alpha = new_alpha
+        k_meds.append(j)
+        objectives.append(float(means[j]))
+    means = block_means(loss_value(LossKind.LOGISTIC, score(alpha), y), part)
+    j = median_block_index(means)
+    a = alpha[part.block(j)]
+    final = float(means[j]) + cfg.beta / (2 * part.block_size) * float(
+        a @ design(j, part.block(j)) @ a)
+    return alpha, k_meds, objectives, final
+
+
+@pytest.mark.parametrize("fast", [True, False], ids=["fast", "full"])
+def test_carried_kernel_scores_select_as_exact_rescoring(fast):
+    # the engines update the scores by the median block's columns; an exact
+    # rescoring at every step must pick the same blocks and end bitwise equal
+    ds = generate_gaussians(400, 28)
+    cfg = FastKlrConfig(k=8, t=300, schedule=StepSchedule("inverse-t", 0.5),
+                        beta=1e-3, kernel=KernelSpec(kind="rbf", gamma=0.5),
+                        seed=14, record_selections=True)
+    model, trace = (fast_klr_mom_train if fast else klr_mom_train)(ds, cfg)
+    alpha, k_meds, objectives, final = _exact_score_klr(ds, cfg, fast)
+    assert [rec.k_med for rec in trace.steps] == k_meds
+    assert np.array_equal(model.alpha, alpha)
+    assert [rec.objective for rec in trace.steps] == pytest.approx(objectives,
+                                                                    rel=1e-12)
+    assert trace.final_objective == pytest.approx(final, rel=1e-12)
