@@ -9,7 +9,11 @@ are built, except by the full-Gram baseline ``optim.klr_mom_train``.
 Memory contract: ``gram`` allocates its one output array plus one row tile
 (about ``_TILE_ENTRIES`` float64 entries) of temporaries, and
 ``kernel_model_score`` streams the test points through two tiles of that
-size, so it never holds the n_test x n_support kernel matrix.
+size, so it never holds the n_test x n_support kernel matrix.  The training
+Gram ``gram(spec, X, X)`` is built in place in its output: BLAS ``syrk``
+fills one triangle, and each row band finishes its half and mirrors it, so
+it also holds a C-ordered copy of X when X is strided.  Both compute the
+squared row norms once per call.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from momclf.data import Dataset, Partition
 
@@ -157,20 +162,63 @@ def gram(spec: KernelSpec, A, B, idx_rows=None, idx_cols=None) -> np.ndarray:
 
     ``idx_rows``/``idx_cols`` are the training indices the rows and columns
     correspond to; they are only used for call recording.  Memory: the
-    output plus one row tile of scratch.
+    output plus one row tile of scratch.  Passing the same array as A and B
+    builds the training Gram: exactly symmetric, and computed from the rows
+    in C order, so it does not depend on how they are strided.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     if _gram_log is not None:
         _gram_log.append((None if idx_rows is None else np.asarray(idx_rows),
                           None if idx_cols is None else np.asarray(idx_cols)))
-    if spec.kind == "linear":
-        return A @ B.T
+    if A is B:
+        A = B = np.ascontiguousarray(A, dtype=float)
+        if len(A) > 1:
+            return _symmetric_gram(spec, A)
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
     # One BLAS product for the whole matrix: a product per row tile may take
     # another kernel path and differ in the last bit.
     out = A @ B.T
-    _rbf_in_place(spec.gamma, out, A, B, _tile_buffer(*out.shape))
+    if spec.kind == "rbf":
+        _rbf_in_place(spec.gamma, out, _sq_norms(A), _sq_norms(B),
+                      _tile_buffer(*out.shape))
     return out
+
+
+def _symmetric_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """``gram(spec, X, X)`` for n > 1 points: one BLAS ``syrk``, then the
+    RBF finish and the mirror, one row band at a time.
+
+    ``syrk`` fills one triangle, with the values of the triangle numpy's
+    ``X @ X.T`` computes by the same call before it mirrors it.  A band of
+    rows [r0, r1) copies its diagonal tile's upper half into its lower
+    half, finishes only its columns r0 and up, so half the entries pay the
+    RBF passes, and copies its part right of the diagonal tile below it.
+    Each entry is the untiled formula's, since a2_i + a2_j is commutative.
+    """
+    n = X.shape[0]
+    # syrk sets the lower triangle of a Fortran-ordered output, which it does
+    # not read at beta = 0, so it need not be zeroed.  The transpose is a
+    # C-ordered matrix whose upper triangle is set.
+    G = dsyrk(1.0, X.T, c=np.empty((n, n), order="F"), trans=1, lower=1,
+              overwrite_c=1).T
+    step = _tile_rows(n)
+    below = np.tri(min(step, n), k=-1, dtype=bool)
+    if spec.kind == "rbf":
+        x2 = _sq_norms(X)
+        scratch = _tile_buffer(n, n)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        diag = G[r0:r1, r0:r1]
+        np.copyto(diag, diag.T, where=below[: r1 - r0, : r1 - r0])
+        if spec.kind == "rbf":
+            _rbf_in_place(spec.gamma, G[r0:r1, r0:], x2[r0:r1], x2[r0:], scratch)
+        G[r1:, r0:r1] = G[r0:r1, r1:].T
+    return G
+
+
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of every row."""
+    return np.sum(X * X, axis=1)
 
 
 def _tile_rows(n_cols: int) -> int:
@@ -183,20 +231,19 @@ def _tile_buffer(n_rows: int, n_cols: int) -> np.ndarray:
     return np.empty((min(n_rows, _tile_rows(n_cols)), n_cols))
 
 
-def _rbf_in_place(gamma: float, out: np.ndarray, A, B, scratch: np.ndarray):
+def _rbf_in_place(gamma: float, out: np.ndarray, a2, b2, scratch: np.ndarray):
     """Turn ``out`` = A @ B.T into exp(-gamma ||a - b||^2), one row tile at a time.
 
-    ``scratch`` holds at least one tile of rows.  Each entry goes through the
-    untiled formula's operations: (a2 + b2) + (-2 ab) equals (a2 + b2) - 2 ab
-    exactly, so the values match it bit for bit.
+    ``a2`` and ``b2`` are the squared row norms of A and B, and ``scratch``
+    holds at least one tile.  Each entry goes through the untiled formula's
+    operations: (a2 + b2) + (-2 ab) equals (a2 + b2) - 2 ab exactly, so the
+    values match it bit for bit.
     """
-    a2 = np.sum(A * A, axis=1)
-    b2 = np.sum(B * B, axis=1)
-    step = _tile_rows(B.shape[0])
-    for start in range(0, A.shape[0], step):
+    step = _tile_rows(out.shape[1])
+    for start in range(0, out.shape[0], step):
         rows = slice(start, start + step)
         tile = out[rows]
-        sums = scratch[: tile.shape[0]]
+        sums = scratch[: tile.shape[0], : tile.shape[1]]
         np.add(a2[rows, None], b2, out=sums)
         tile *= -2.0
         tile += sums
@@ -234,18 +281,21 @@ def kernel_model_score(m: KernelModel, x):
                          f"{m.support.shape[1]}")
     idx = m.partition.block(m.active_block)
     support, alpha = m.support[idx], m.alpha[idx]
+    rbf = m.kernel.kind == "rbf"
+    if rbf:
+        x2, support2 = _sq_norms(x), _sq_norms(support)
     n = x.shape[0]
     step = _tile_rows(support.shape[0])
     tile = _tile_buffer(n, support.shape[0])
     scratch = np.empty_like(tile)
     scores = np.empty(n)
     for start in range(0, n, step):
-        rows = x[start : start + step]
-        kernel_rows = tile[: rows.shape[0]]
-        np.matmul(rows, support.T, out=kernel_rows)
-        if m.kernel.kind == "rbf":
-            _rbf_in_place(m.kernel.gamma, kernel_rows, rows, support, scratch)
-        scores[start : start + step] = kernel_rows @ alpha
+        rows = slice(start, start + step)
+        kernel_rows = tile[: min(step, n - start)]
+        np.matmul(x[rows], support.T, out=kernel_rows)
+        if rbf:
+            _rbf_in_place(m.kernel.gamma, kernel_rows, x2[rows], support2, scratch)
+        scores[rows] = kernel_rows @ alpha
     return float(scores[0]) if single else scores
 
 

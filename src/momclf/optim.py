@@ -254,10 +254,13 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
 
     def step(params, scores, k_med, idx, eta):
         u, b = params
-        g = loss_grad_score(cfg.loss, scores[idx], y[idx])
+        # At K=1 the median block is every sample in order: read it in place.
+        X_med, s_med, y_med = ((X, scores, y) if cfg.k == 1
+                               else (X[idx], scores[idx], y[idx]))
+        g = loss_grad_score(cfg.loss, s_med, y_med)
         if cfg.gradient_mode == "mean":
             g = g / block_size
-        u, b = u - eta * (X[idx].T @ g), b - eta * g.sum()
+        u, b = u - eta * (X_med.T @ g), b - eta * g.sum()
         return (u, b), X @ u + b
 
     partitions = _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed))
@@ -373,11 +376,11 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     return alpha_block * (1.0 - eta) + eta * target
 
 
-def _klr_descent(y, cfg: FastKlrConfig, partitions, block_design, columns):
+def _klr_descent(y, cfg: FastKlrConfig, partitions, block_kernel):
     """MOM descent of both kernel engines on the coefficients alpha.
 
-    ``block_design(j, idx)`` returns the kernel matrix of block j and
-    ``columns(j, idx, d)`` the n-vector K[:, idx] @ d.  Each step moves the
+    ``block_kernel(j, idx)`` returns the kernel matrix of block j and a
+    function of d giving the n-vector K[:, idx] @ d.  Each step moves the
     median block B (by mean logistic loss) towards its IRLS target and
     shrinks every other coefficient by (1 - eta_t), so the scores, zero at
     alpha = 0, are carried as (1 - eta_t) s + K[:, B] d, with d the block's
@@ -389,12 +392,12 @@ def _klr_descent(y, cfg: FastKlrConfig, partitions, block_design, columns):
     """
     def step(params, scores, k_med, idx, eta):
         (alpha,) = params
+        design, columns = block_kernel(k_med, idx)
         new_alpha = alpha * (1.0 - eta)
-        target = _irls_update(block_design(k_med, idx), alpha[idx], y[idx],
-                              cfg.beta, eta)
+        target = _irls_update(design, alpha[idx], y[idx], cfg.beta, eta)
         d = target - new_alpha[idx]
         new_alpha[idx] = target
-        return (new_alpha,), scores * (1.0 - eta) + columns(k_med, idx, d)
+        return (new_alpha,), scores * (1.0 - eta) + columns(d)
 
     (alpha,), scores, part, k_med, steps = _mom_descent(
         y, cfg, LossKind.LOGISTIC, (np.zeros(y.size),), np.zeros(y.size),
@@ -403,7 +406,7 @@ def _klr_descent(y, cfg: FastKlrConfig, partitions, block_design, columns):
     j = median_block_index(means)
     idx = part.block(j)
     a = alpha[idx]
-    penalty = cfg.beta / (2 * part.block_size) * float(a @ block_design(j, idx) @ a)
+    penalty = cfg.beta / (2 * part.block_size) * float(a @ block_kernel(j, idx)[0] @ a)
     trace = TrainTrace(steps=steps, final_objective=float(means[j]) + penalty,
                        n=y.size, k=cfg.k, t=cfg.t, block_size=part.block_size)
     return alpha, k_med, trace
@@ -425,15 +428,16 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
                                                np.random.default_rng(cfg.seed)))
     mats = block_kernel_matrices(ds, part, cfg.kernel)
 
-    def columns(j, idx, d):
-        # block j's kernel columns are zero outside block j
-        out = np.zeros(n)
-        out[idx] = mats[j] @ d
-        return out
+    def block_kernel(j, idx):
+        def columns(d):
+            # block j's kernel columns are zero outside block j
+            out = np.zeros(n)
+            out[idx] = mats[j] @ d
+            return out
+        return mats[j], columns
 
     alpha, k_med, trace = _klr_descent(
-        y, cfg, itertools.repeat((part_seed, part)), lambda j, idx: mats[j],
-        columns)
+        y, cfg, itertools.repeat((part_seed, part)), block_kernel)
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
                         partition=part, active_block=k_med)
     return model, trace
@@ -453,11 +457,19 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
     full = gram(cfg.kernel, X, X, idx_rows=np.arange(n), idx_cols=np.arange(n))
-    # The training Gram is exactly symmetric (tests/test_model.py pins it), so
-    # a contiguous row gather full[idx] gives the columns K[:, idx].
+
+    def block_kernel(j, idx):
+        # One gather of the block's rows per step.  The training Gram is
+        # exactly symmetric (tests/test_model.py pins it), so the rows are
+        # the columns K[:, idx].  np.take keeps the design C-ordered, as
+        # full[np.ix_(idx, idx)] is; rows[:, idx] would be Fortran-ordered
+        # and take another BLAS path in the IRLS step.
+        rows = full[idx]
+        return np.take(rows, idx, axis=1), lambda d: d @ rows
+
     alpha, _, trace = _klr_descent(
         y, cfg, _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed)),
-        lambda j, idx: full[np.ix_(idx, idx)], lambda j, idx, d: d @ full[idx])
+        block_kernel)
     model = KernelModel(alpha=alpha, support=X.copy(), kernel=cfg.kernel,
                         partition=Partition(blocks=np.arange(n)[None, :], n=n))
     return model, trace

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -157,6 +158,31 @@ def test_training_gram_is_exactly_symmetric(spec, n):
     X = np.random.default_rng(n).standard_normal((n, 2))
     G = gram(spec, X, X)
     assert np.array_equal(G, G.T)
+
+
+# At n = TILE_SIDE one row band of the training Gram is the whole matrix;
+# one point more makes two bands, the second of two rows.
+TILE_SIDE = math.isqrt(_TILE_ENTRIES)
+
+
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+@pytest.mark.parametrize("p", [1, 3, 7])
+@pytest.mark.parametrize("n", [1, TILE_SIDE - 1, TILE_SIDE, TILE_SIDE + 1, 2001])
+@pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+def test_training_gram_bitwise_and_symmetric_across_shapes(spec, p, n, strided):
+    Z = np.random.default_rng(n + p).standard_normal((n, 2 * p))
+    X = Z[:, ::2] if strided else np.ascontiguousarray(Z[:, ::2])
+    G = gram(spec, X, X)
+    # a strided X gives the Gram of its C-ordered copy
+    Xc = np.ascontiguousarray(X)
+    assert np.array_equal(G, untiled_gram_reference(spec, Xc, Xc))
+    assert np.array_equal(G, G.T)
+
+
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+def test_training_gram_of_no_points_is_empty(spec):
+    X = np.empty((0, 3))
+    assert gram(spec, X, X).shape == (0, 0)
 
 
 def test_gram_peak_memory_is_output_plus_one_tile():

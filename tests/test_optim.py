@@ -328,6 +328,23 @@ def test_erm_is_bitwise_independent_of_seed_and_k():
         rel=1e-15)
 
 
+def test_erm_steps_equal_the_block_step_on_copies_bitwise():
+    # At K=1 the step reads X, the scores and y in place; the block step on
+    # their fancy-index copies X[idx], scores[idx], y[idx] gives the same bits.
+    ds = make_dataset(300, 4, 12)
+    X, y = ds.training_arrays()
+    schedule = StepSchedule("inverse-t", 0.5)
+    model, _ = train("erm-logistic", ds, 1, 200, schedule, seed=3)
+    idx = np.arange(ds.n)
+    u, b = np.zeros(ds.p), 0.0
+    for t in range(200):
+        scores = X @ u + b
+        g = loss_grad_score(LossKind.LOGISTIC, scores[idx], y[idx]) / ds.n
+        eta = schedule.rate(t)
+        u, b = u - eta * (X[idx].T @ g), b - eta * g.sum()
+    assert model.u.tobytes() == u.tobytes() and model.b == b
+
+
 def test_constant_step_warning_points_at_the_caller_of_train():
     with pytest.warns(UserWarning, match="constant step size") as record:
         train("mom-logistic", REPLAY_DATA, 8, 5, StepSchedule("constant", 0.1))
@@ -540,6 +557,17 @@ def test_full_klr_mom_trains_and_scores_with_one_block_over_all_points():
     assert np.array_equal(model.partition.blocks, [np.arange(60)])
     from momclf.bench import accuracy
     assert accuracy(model, separable_blobs(100, 22)) >= 0.9
+
+
+def test_full_klr_builds_one_gram_over_all_points():
+    ds = separable_blobs(60, 21)
+    cfg = FastKlrConfig(k=3, t=10, schedule=StepSchedule("inverse-t", 0.8),
+                        kernel=KernelSpec(kind="rbf", gamma=0.5), seed=11)
+    with record_gram_calls() as log:
+        klr_mom_train(ds, cfg)
+    assert len(log) == 1
+    rows, cols = log[0]
+    assert np.array_equal(rows, np.arange(60)) and np.array_equal(cols, np.arange(60))
 
 
 def test_fast_klr_determinism():
