@@ -11,9 +11,9 @@ Memory contract: ``gram`` allocates its one output array plus one row tile
 ``kernel_model_score`` streams the test points through two tiles of that
 size, so it never holds the n_test x n_support kernel matrix.  The training
 Gram ``gram(spec, X, X)`` is built in place in its output: BLAS ``syrk``
-fills one triangle, and each row band finishes its half and mirrors it, so
-it also holds a C-ordered copy of X when X is strided.  Both compute the
-squared row norms once per call.
+fills one triangle, and each row band finishes its half and mirrors it
+through the same one tile, so it also holds a C-ordered copy of X when X is
+strided.  Both compute the squared row norms once per call.
 """
 
 from __future__ import annotations
@@ -194,6 +194,11 @@ def _symmetric_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     half, finishes only its columns r0 and up, so half the entries pay the
     RBF passes, and copies its part right of the diagonal tile below it.
     Each entry is the untiled formula's, since a2_i + a2_j is commutative.
+
+    The product comes from scipy's BLAS and ``gram(spec, A, B)`` takes it
+    from numpy's, so the two equal ``X @ X.T`` bit for bit only while both
+    libraries' ``dsyrk`` give the same bits; pip wheels ship each with its
+    own OpenBLAS.  The result is exactly symmetric on any BLAS.
     """
     n = X.shape[0]
     # syrk sets the lower triangle of a Fortran-ordered output, which it does
@@ -203,13 +208,17 @@ def _symmetric_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
               overwrite_c=1).T
     step = _tile_rows(n)
     below = np.tri(min(step, n), k=-1, dtype=bool)
+    # The diagonal tile's transpose goes through the scratch tile: copying a
+    # view onto itself would make numpy allocate a second tile.
+    scratch = _tile_buffer(n, n)
     if spec.kind == "rbf":
         x2 = _sq_norms(X)
-        scratch = _tile_buffer(n, n)
     for r0 in range(0, n, step):
         r1 = min(r0 + step, n)
         diag = G[r0:r1, r0:r1]
-        np.copyto(diag, diag.T, where=below[: r1 - r0, : r1 - r0])
+        diag_t = scratch[: r1 - r0, : r1 - r0]
+        np.copyto(diag_t, diag.T)
+        np.copyto(diag, diag_t, where=below[: r1 - r0, : r1 - r0])
         if spec.kind == "rbf":
             _rbf_in_place(spec.gamma, G[r0:r1, r0:], x2[r0:r1], x2[r0:], scratch)
         G[r1:, r0:r1] = G[r0:r1, r1:].T

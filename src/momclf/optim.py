@@ -254,13 +254,10 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
 
     def step(params, scores, k_med, idx, eta):
         u, b = params
-        # At K=1 the median block is every sample in order: read it in place.
-        X_med, s_med, y_med = ((X, scores, y) if cfg.k == 1
-                               else (X[idx], scores[idx], y[idx]))
-        g = loss_grad_score(cfg.loss, s_med, y_med)
+        g = loss_grad_score(cfg.loss, scores[idx], y[idx])
         if cfg.gradient_mode == "mean":
             g = g / block_size
-        u, b = u - eta * (X_med.T @ g), b - eta * g.sum()
+        u, b = u - eta * (X[idx].T @ g), b - eta * g.sum()
         return (u, b), X @ u + b
 
     partitions = _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed))

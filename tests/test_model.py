@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.linalg.blas import dsyrk
 
 from momclf.data import Dataset, Partition, random_equipartition
 from momclf.model import (
@@ -189,6 +190,24 @@ def test_gram_peak_memory_is_output_plus_one_tile():
     X = np.random.default_rng(9).standard_normal((1500, 2))
     G, peak = traced_peak(gram, KernelSpec(kind="rbf", gamma=0.5), X, X)
     assert peak <= 1.5 * G.nbytes
+
+
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+def test_one_band_training_gram_peak_memory_is_output_plus_one_tile(spec):
+    # at TILE_SIDE points the diagonal tile of the one band is the whole matrix
+    X = np.random.default_rng(10).standard_normal((TILE_SIDE, 2))
+    G, peak = traced_peak(gram, spec, X, X)
+    assert peak <= G.nbytes + 1.5 * _TILE_ENTRIES * 8
+
+
+def test_scipy_syrk_gives_the_bits_of_numpy_symmetric_product():
+    # The training Gram takes its product from scipy's dsyrk and matches
+    # numpy's X @ X.T only while the two libraries' BLAS builds agree.
+    X = np.random.default_rng(11).standard_normal((1500, 3))
+    G = dsyrk(1.0, X.T, trans=1, lower=1)
+    assert np.array_equal(np.tril(G), np.tril(X @ X.T)), (
+        "scipy's and numpy's BLAS give different dsyrk bits; compare "
+        "scipy.show_config() with numpy.show_config()")
 
 
 def median_gamma_loop_oracle(X):

@@ -328,23 +328,6 @@ def test_erm_is_bitwise_independent_of_seed_and_k():
         rel=1e-15)
 
 
-def test_erm_steps_equal_the_block_step_on_copies_bitwise():
-    # At K=1 the step reads X, the scores and y in place; the block step on
-    # their fancy-index copies X[idx], scores[idx], y[idx] gives the same bits.
-    ds = make_dataset(300, 4, 12)
-    X, y = ds.training_arrays()
-    schedule = StepSchedule("inverse-t", 0.5)
-    model, _ = train("erm-logistic", ds, 1, 200, schedule, seed=3)
-    idx = np.arange(ds.n)
-    u, b = np.zeros(ds.p), 0.0
-    for t in range(200):
-        scores = X @ u + b
-        g = loss_grad_score(LossKind.LOGISTIC, scores[idx], y[idx]) / ds.n
-        eta = schedule.rate(t)
-        u, b = u - eta * (X[idx].T @ g), b - eta * g.sum()
-    assert model.u.tobytes() == u.tobytes() and model.b == b
-
-
 def test_constant_step_warning_points_at_the_caller_of_train():
     with pytest.warns(UserWarning, match="constant step size") as record:
         train("mom-logistic", REPLAY_DATA, 8, 5, StepSchedule("constant", 0.1))
