@@ -165,7 +165,7 @@ class TrainTrace:
     def from_jsonl(cls, path) -> "TrainTrace":
         """Read a trace written by :meth:`to_jsonl`.  A malformed line
         raises ValueError naming the path, its 1-based number and, when one
-        is missing, the field."""
+        is missing or has the wrong JSON type, the field."""
         steps = []
         meta = None
         with open(path, "r", encoding="utf-8") as fh:
@@ -173,17 +173,15 @@ class TrainTrace:
                 try:
                     obj = json.loads(line)
                     if "meta" in obj:
-                        meta = {f: obj["meta"][f] for f in
-                                ("final_objective", "n", "k", "t", "block_size")}
+                        meta = _json_fields(obj["meta"], _META_FIELDS)
                         continue
                     steps.append(IterationRecord(
-                        t=obj["t"], partition_seed=obj["partition_seed"],
-                        k_med=obj["k_med"],
-                        block=np.asarray(obj["block"], dtype=np.intp),
-                        objective=obj["objective"]))
+                        block=_json_block(obj), **_json_fields(obj, _STEP_FIELDS)))
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"{path}: line {lineno}: not JSON "
                                      f"({exc.msg})") from None
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
                 except KeyError as exc:
                     raise ValueError(f"{path}: line {lineno}: missing field "
                                      f"{exc.args[0]!r}") from None
@@ -193,6 +191,41 @@ class TrainTrace:
         if meta is None:
             raise ValueError(f"{path}: missing meta line")
         return cls(steps=steps, **meta)
+
+
+# The JSON type of each scalar field of a trace line.  Python types are
+# matched exactly: JSON true and false load as bool, a subclass of int.
+_JSON_TYPES = {"integer": (int,), "number": (int, float)}
+_META_FIELDS = {"n": "integer", "k": "integer", "t": "integer",
+                "block_size": "integer", "final_objective": "number"}
+_STEP_FIELDS = {"t": "integer", "partition_seed": "integer",
+                "k_med": "integer", "objective": "number"}
+
+
+def _json_fields(obj: dict, fields: dict) -> dict:
+    """{name: obj[name]} for each name of ``fields``; ValueError naming the
+    first field whose value has another JSON type."""
+    values = {}
+    for name, kind in fields.items():
+        value = obj[name]
+        if type(value) not in _JSON_TYPES[kind]:
+            raise ValueError(f"field {name!r} must be a JSON {kind}, "
+                             f"got {json.dumps(value)[:40]}")
+        values[name] = value
+    return values
+
+
+def _json_block(obj: dict) -> np.ndarray:
+    """The list of JSON integers ``obj["block"]`` as an index array;
+    ValueError naming the field if it is anything else."""
+    value = obj["block"]
+    if type(value) is list and set(map(type, value)) <= {int}:
+        try:
+            return np.array(value, dtype=np.intp)
+        except OverflowError:  # beyond the index range
+            pass
+    raise ValueError("field 'block' must be a list of JSON integers, "
+                     f"got {json.dumps(value)[:40]}")
 
 
 def _redrawn_partitions(n: int, k: int, rng):
@@ -361,13 +394,24 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     the rank-deficient linear kernel included, because its diagonal is at
     least 4 beta; one Cholesky solve gives the target, and the step moves
     the block's coefficients a fraction eta towards it.
+
+    The system matrix is one Fortran-ordered copy of ``design`` with beta / w
+    added to its diagonal, which ``solve`` factors in place: LAPACK's
+    Cholesky reads it in that order, so ``solve`` neither converts nor copies
+    it.  It reads the same upper triangle as it would of
+    ``design + diag(beta / w)``, so the target is bitwise the same.
+    ``design`` itself is never written; it may be a cached block matrix, and
+    need not be exactly symmetric.
     """
     s = design @ alpha_block
     pi = expit(s)
     w = np.maximum(pi * (1.0 - pi), IRLS_WEIGHT_FLOOR)
     y01 = (y_block + 1.0) / 2.0
     z = s + (y01 - pi) / w
-    target = scipy.linalg.solve(design + np.diag(beta / w), z, assume_a="pos")
+    a = np.array(design, order="F")
+    a[np.diag_indices_from(a)] += beta / w
+    target = scipy.linalg.solve(a, z, assume_a="pos", overwrite_a=True,
+                                overwrite_b=True)
     if not np.all(np.isfinite(target)):
         raise NumericError("IRLS produced non-finite coefficients")
     return alpha_block * (1.0 - eta) + eta * target
@@ -377,11 +421,13 @@ def _klr_descent(y, cfg: FastKlrConfig, partitions, block_kernel):
     """MOM descent of both kernel engines on the coefficients alpha.
 
     ``block_kernel(j, idx)`` returns the kernel matrix of block j and a
-    function of d giving the n-vector K[:, idx] @ d.  Each step moves the
-    median block B (by mean logistic loss) towards its IRLS target and
-    shrinks every other coefficient by (1 - eta_t), so the scores, zero at
-    alpha = 0, are carried as (1 - eta_t) s + K[:, B] d, with d the block's
-    change beyond the shrink.  The IRLS step reads only within-block scores,
+    function ``add_columns(s, d)`` that adds K[:, idx] @ d to the n-vector s
+    in place.  Each step moves the median block B (by mean logistic loss)
+    towards its IRLS target and shrinks every other coefficient by
+    (1 - eta_t), so the scores, zero at alpha = 0, are carried as
+    (1 - eta_t) s + K[:, B] d, with d the block's change beyond the shrink:
+    the step scales s into a fresh array and ``add_columns`` adds the
+    block's columns into it.  The IRLS step reads only within-block scores,
     so the carried ones only rank the blocks.  Returns (alpha, last median
     block, trace).  The trace's final objective is the one the IRLS step is
     stationary for: mean loss + (beta / 2m) a_B' K_B a_B on the median block
@@ -389,12 +435,14 @@ def _klr_descent(y, cfg: FastKlrConfig, partitions, block_kernel):
     """
     def step(params, scores, k_med, idx, eta):
         (alpha,) = params
-        design, columns = block_kernel(k_med, idx)
+        design, add_columns = block_kernel(k_med, idx)
         new_alpha = alpha * (1.0 - eta)
         target = _irls_update(design, alpha[idx], y[idx], cfg.beta, eta)
         d = target - new_alpha[idx]
         new_alpha[idx] = target
-        return (new_alpha,), scores * (1.0 - eta) + columns(d)
+        new_scores = scores * (1.0 - eta)
+        add_columns(new_scores, d)
+        return (new_alpha,), new_scores
 
     (alpha,), scores, part, k_med, steps = _mom_descent(
         y, cfg, LossKind.LOGISTIC, (np.zeros(y.size),), np.zeros(y.size),
@@ -426,12 +474,10 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     mats = block_kernel_matrices(ds, part, cfg.kernel)
 
     def block_kernel(j, idx):
-        def columns(d):
+        def add_columns(s, d):
             # block j's kernel columns are zero outside block j
-            out = np.zeros(n)
-            out[idx] = mats[j] @ d
-            return out
-        return mats[j], columns
+            s[idx] += mats[j] @ d
+        return mats[j], add_columns
 
     alpha, k_med, trace = _klr_descent(
         y, cfg, itertools.repeat((part_seed, part)), block_kernel)
@@ -460,9 +506,12 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
         # exactly symmetric (tests/test_model.py pins it), so the rows are
         # the columns K[:, idx].  np.take keeps the design C-ordered, as
         # full[np.ix_(idx, idx)] is; rows[:, idx] would be Fortran-ordered
-        # and take another BLAS path in the IRLS step.
+        # and take another BLAS path in the IRLS step's design @ alpha.
         rows = full[idx]
-        return np.take(rows, idx, axis=1), lambda d: d @ rows
+
+        def add_columns(s, d):
+            s += d @ rows
+        return np.take(rows, idx, axis=1), add_columns
 
     alpha, _, trace = _klr_descent(
         y, cfg, _redrawn_partitions(n, cfg.k, np.random.default_rng(cfg.seed)),

@@ -116,6 +116,23 @@ def test_outlier_scores_reports_a_malformed_trace_line(tmp_path, capsys):
     assert "line 2: missing field 'k_med'" in capsys.readouterr().err
 
 
+def test_outlier_scores_rejects_a_trace_block_of_non_integers(tmp_path, capsys):
+    # numpy would truncate these to the indices [0, 1] and count them
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"meta": {"n": 4, "k": 2, "t": 1, "block_size": 2, '
+                     '"final_objective": 0.5}}\n'
+                     '{"t": 0, "partition_seed": 1, "k_med": 0, '
+                     '"block": [0.5, 1.7], "objective": 0.5}\n')
+    scores = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["outlier-scores", "--trace", str(trace),
+                 "--output", str(scores)]) == 1
+    err = capsys.readouterr().err
+    assert str(trace) in err
+    assert "line 2: field 'block' must be a list of JSON integers" in err
+    assert not scores.exists()
+
+
 def test_train_kernel_algo(tmp_path):
     data = tmp_path / "g.csv"
     model = tmp_path / "m.json"

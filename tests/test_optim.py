@@ -211,7 +211,28 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
      "line 1: missing field 'final_objective'"),
     (3, '{"t": 0, "partition_seed": 1,', "line 3: not JSON"),
     (2, "[1, 2]", "line 2: not a trace record"),
-], ids=["step-field", "meta-field", "not-json", "not-object"])
+    *[(3, '{"t": 1, "partition_seed": 1, "k_med": 0, "block": %s, '
+          '"objective": 0.5}' % block,
+       "line 3: field 'block' must be a list of JSON integers")
+      for block in ("[0.5, 1.7]", "[[0, 1], [2, 3]]", "[[0], [1, 2]]",
+                    '"0 1"', "[true, false]", "3", "[1, 99999999999999999999999]")],
+    (2, '{"t": "0", "partition_seed": 1, "k_med": 0, "block": [0], '
+        '"objective": 0.5}', "line 2: field 't' must be a JSON integer"),
+    (2, '{"t": 0, "partition_seed": 1.0, "k_med": 0, "block": [0], '
+        '"objective": 0.5}', "line 2: field 'partition_seed' must be a JSON integer"),
+    (2, '{"t": 0, "partition_seed": 1, "k_med": false, "block": [0], '
+        '"objective": 0.5}', "line 2: field 'k_med' must be a JSON integer"),
+    (2, '{"t": 0, "partition_seed": 1, "k_med": 0, "block": [0], '
+        '"objective": "0.5"}', "line 2: field 'objective' must be a JSON number"),
+    (1, '{"meta": {"n": 40.5, "k": 6, "t": 2, "block_size": 7, '
+        '"final_objective": 0.5}}', "line 1: field 'n' must be a JSON integer"),
+    (1, '{"meta": {"n": 40, "k": 6, "t": 2, "block_size": 7, '
+        '"final_objective": null}}',
+     "line 1: field 'final_objective' must be a JSON number"),
+], ids=["step-field", "meta-field", "not-json", "not-object",
+        "block-floats", "block-2d", "block-ragged", "block-string", "block-bools",
+        "block-scalar", "block-overflow", "t-string", "seed-float", "k_med-bool",
+        "objective-string", "meta-n-float", "meta-objective-null"])
 def test_trace_from_jsonl_names_path_line_and_field(tmp_path, lineno, bad_line,
                                                     message):
     ds = generate_toy(40, 2, 7)
@@ -581,6 +602,47 @@ def test_irls_target_solves_penalized_system(spec, p):
     z = s + ((y + 1.0) / 2.0 - pi) / w
     residual = (K + np.diag(beta / w)) @ target - z
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(z)
+
+
+def _copying_irls_update(design, alpha_block, y_block, beta, eta):
+    """The IRLS step with its matrix built as design + diag(beta / w), which
+    ``solve`` checks and copies into Fortran order before it factors."""
+    s = design @ alpha_block
+    pi = expit(s)
+    w = np.maximum(pi * (1.0 - pi), IRLS_WEIGHT_FLOOR)
+    z = s + ((y_block + 1.0) / 2.0 - pi) / w
+    target = scipy.linalg.solve(design + np.diag(beta / w), z, assume_a="pos")
+    return alpha_block * (1.0 - eta) + eta * target
+
+
+def _lopsided_design(rng, m):
+    # SPD in its upper triangle, with a lower triangle that differs from it,
+    # so a solve that read the lower triangle would give other bits
+    X = rng.standard_normal((m, 4))
+    K = gram(KernelSpec(kind="rbf", gamma=0.3), X, X)
+    return K + np.tril(rng.uniform(0.1, 0.2, (m, m)), k=-1)
+
+
+@pytest.mark.parametrize("design", ["rbf", "linear-wide", "lopsided"])
+@pytest.mark.parametrize("seed", range(5))
+def test_irls_update_equals_the_copying_solve_bitwise(design, seed):
+    rng = np.random.default_rng(600 + seed)
+    m = 40
+    if design == "lopsided":
+        K = _lopsided_design(rng, m)
+    else:
+        spec = KernelSpec(kind="rbf", gamma=0.7) if design == "rbf" \
+            else KernelSpec(kind="linear")  # p=3 < m: rank-deficient Gram
+        X = rng.standard_normal((m, 2 if design == "rbf" else 3))
+        K = gram(spec, X, X)
+    assert K.flags.c_contiguous
+    before = K.copy()
+    alpha = rng.standard_normal(m)
+    y = rng.choice([-1.0, 1.0], size=m)
+    for eta in (0.3, 1.0):
+        got = _irls_update(K, alpha, y, 1e-3, eta)
+        assert np.array_equal(got, _copying_irls_update(K, alpha, y, 1e-3, eta))
+    assert np.array_equal(K, before)
 
 
 def test_fast_klr_linear_kernel_does_one_solve_per_step(monkeypatch):
