@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from momclf import bench, optim
+from momclf._fields import INTEGER, NUMBER, NUMBER_OR_STRING, STRING, read_fields
 from momclf.data import (
     Dataset,
     generate_gaussians,
@@ -171,6 +172,10 @@ def _resolve_gamma(raw, ds: Dataset) -> float:
 TRAIN_DEFAULTS = {"algo": None, "k": 120, "t": 2000, "eta0": 0.5,
                   "schedule": "inverse-t", "gradient_mode": "sum",
                   "beta": 1e-3, "kernel": "rbf", "gamma": "auto", "seed": 0}
+# The JSON kind of each config key: the keys of TRAIN_DEFAULTS.
+_CONFIG_FIELDS = {"algo": STRING, "k": INTEGER, "t": INTEGER, "eta0": NUMBER,
+                  "schedule": STRING, "gradient_mode": STRING, "beta": NUMBER,
+                  "kernel": STRING, "gamma": NUMBER_OR_STRING, "seed": INTEGER}
 
 
 def _train_options(args) -> dict:
@@ -180,14 +185,17 @@ def _train_options(args) -> dict:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        unknown = set(loaded) - set(opts)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        opts.update(loaded)
-    for key in opts:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            opts[key] = flag_value
+        try:
+            opts.update(read_fields(loaded, _CONFIG_FIELDS, "file", partial=True))
+            if set(loaded) - set(opts):
+                raise ValueError(f"has unknown keys {sorted(set(loaded) - set(opts))}")
+            if opts["gamma"] not in ("auto", "median") and type(opts["gamma"]) is str:
+                raise ValueError("field 'gamma' must be a JSON number, \"auto\" "
+                                 f"or \"median\", got {json.dumps(opts['gamma'])[:40]}")
+        except ValueError as exc:
+            raise ValueError(f"{args.config}: config {exc}") from None
+    opts.update({key: getattr(args, key) for key in opts
+                 if getattr(args, key) is not None})
     if opts["algo"] not in METHODS:
         raise ValueError(f"algo must be one of {METHODS}, "
                          f"got {opts['algo']!r}")
@@ -234,9 +242,7 @@ def _cmd_outlier_scores(args) -> int:
     trace = TrainTrace.from_jsonl(args.trace)
     sc = selection_counts(trace, trace.n)
     flagged = flag_outliers(sc, args.threshold)
-    ds = None
-    if args.data is not None:
-        ds = load_csv(args.data)
+    ds = None if args.data is None else load_csv(args.data)
     write_counts_csv(sc, args.output, ds)
     print(f"wrote counts for {trace.n} samples to {args.output}; "
           f"{flagged.size} flagged below threshold {args.threshold}")

@@ -211,16 +211,16 @@ def generate_gaussians(n: int, seed: int) -> Dataset:
     return _assemble([x_pos, x_neg], [np.ones(n_pos), -np.ones(n_neg)], None, rng)
 
 
-def _map_label(raw: str, row: int) -> float:
+def _map_label(raw: str, path, row: int) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise CsvLabelError(f"row {row}: label {raw!r} is not numeric") from None
+        raise CsvLabelError(f"{path}: row {row}: label {raw!r} is not numeric") from None
     if v == 1.0:
         return 1.0
     if v == -1.0 or v == 0.0:
         return -1.0
-    raise CsvLabelError(f"row {row}: label {v!r} not in {{-1,1}} or {{0,1}}")
+    raise CsvLabelError(f"{path}: row {row}: label {v!r} not in {{-1,1}} or {{0,1}}")
 
 
 def _flag_value(raw) -> bool | None:
@@ -250,12 +250,8 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
     A header column named "is_outlier" is read back as ground-truth flags,
     not as a feature.  Row order is preserved.
     """
-    lines = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            stripped = raw.strip()
-            if stripped:
-                lines.append(stripped)
+        lines = [line for line in map(str.strip, fh) if line]
     if not lines:
         raise CsvParseError(f"{path}: empty file")
 
@@ -268,6 +264,8 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
             raise CsvParseError(f"{path}: header but no data rows")
 
     width = len(lines[0].split(","))
+    if header is not None and len(header) != width:
+        raise CsvDimensionError(f"{path}: header has {len(header)} columns, expected {width}")
     if label_column is None:
         if header is not None and "y" in header:
             label_idx = header.index("y")
@@ -285,6 +283,8 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
         if label_column not in header:
             raise CsvParseError(f"{path}: no column named {label_column!r}")
         label_idx = header.index(label_column)
+    if not 0 <= label_idx < width:
+        raise CsvParseError(f"{path}: label column index {label_idx} out of range")
 
     flag_idx = None
     if header is not None and "is_outlier" in header:
@@ -293,16 +293,13 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
             raise CsvParseError(f"{path}: is_outlier column cannot be the label")
 
     rows, labels, flags = [], [], []
-    for i, line in enumerate(lines):
-        rownum = i + 1 + (1 if header is not None else 0)
+    for rownum, line in enumerate(lines, start=1 if header is None else 2):
         fields = [f.strip() for f in line.split(",")]
         if len(fields) != width:
             raise CsvDimensionError(
                 f"{path}: row {rownum} has {len(fields)} columns, expected {width}"
             )
-        if not 0 <= label_idx < width:
-            raise CsvParseError(f"{path}: label column index {label_idx} out of range")
-        labels.append(_map_label(fields[label_idx], rownum))
+        labels.append(_map_label(fields[label_idx], path, rownum))
         if flag_idx is not None:
             flag = _flag_value(fields[flag_idx])
             if flag is None:

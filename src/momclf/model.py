@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
+from momclf._fields import FLOATS, NUMBER, STRING, read_fields
 from momclf.data import Dataset, Partition
 
 # Version of the model JSON files this module writes and reads.
@@ -326,71 +327,34 @@ def model_to_json(model) -> str:
                        "support": model.support[idx].tolist()})
 
 
-def _json_object(value, name: str) -> dict:
-    """``value`` if it is a JSON object; ValueError naming ``name`` if not."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _field(obj: dict, *path: str):
-    """The value at ``path`` in a model file; ValueError if it is missing or
-    a level above it is not a JSON object."""
-    for depth, key in enumerate(path):
-        if depth:
-            _json_object(obj, f"model field {'.'.join(path[:depth])!r}")
-        if key not in obj:
-            raise ValueError(f"model field {'.'.join(path[:depth + 1])!r} is missing")
-        obj = obj[key]
-    return obj
-
-
-def _numbers(obj: dict, *path: str) -> np.ndarray:
-    """The float array at ``path`` in a model file; ValueError naming the
-    field unless it is a JSON number or a nested list of them (no booleans)."""
-    value = _field(obj, *path)
-    try:
-        array = np.asarray(value)
-    except ValueError:  # ragged nesting
-        array = None
-    if array is None or array.dtype.kind not in "iuf":
-        raise ValueError(f"model field {'.'.join(path)!r} must hold JSON numbers, "
-                         f"got {json.dumps(value)[:40]}")
-    return array.astype(float)
-
-
-def _number(obj: dict, *path: str) -> float:
-    """The JSON number at ``path`` in a model file, as a float."""
-    value = _numbers(obj, *path)
-    if value.ndim != 0:
-        raise ValueError(f"model field {'.'.join(path)!r} must be a number, "
-                         f"got shape {value.shape}")
-    return float(value)
+_MODEL_FIELDS = {"linear": {"u": FLOATS, "b": NUMBER},
+                 "kernel": {"kernel": {"kind": STRING, "gamma": NUMBER},
+                            "alpha": FLOATS, "support": FLOATS}}
 
 
 def model_from_json(text: str):
     """Read a ``model_to_json`` file; a kernel model comes back as one block.
     A missing or malformed field, or an unknown ``format``, raises ValueError
     naming it."""
-    obj = _json_object(json.loads(text), "a model file")
-    if obj.get("format") != MODEL_FORMAT:
-        found = repr(obj["format"]) if "format" in obj else "missing"
-        raise ValueError(f"model field 'format' is {found}; "
-                         f"this version reads format {MODEL_FORMAT}")
-    kind = _field(obj, "type")
+    obj = json.loads(text)
+    try:
+        kind = read_fields(obj, {"type": STRING}, "file")["type"]
+        if obj.get("format") != MODEL_FORMAT:
+            found = repr(obj["format"]) if "format" in obj else "missing"
+            raise ValueError(f"field 'format' is {found}; "
+                             f"this version reads format {MODEL_FORMAT}")
+        if kind not in _MODEL_FIELDS:
+            raise ValueError(f"field 'type' is {kind!r}, not 'linear' or 'kernel'")
+        fields = read_fields(obj, _MODEL_FIELDS[kind], "file")
+        for key, ndim in (("u", 1), ("alpha", 1), ("support", 2)):
+            if key in fields and fields[key].ndim != ndim:
+                raise ValueError(f"field {key!r} must be a {ndim}-d array, "
+                                 f"got shape {fields[key].shape}")
+    except ValueError as exc:
+        raise ValueError(f"model {exc}") from None
     if kind == "linear":
-        return LinearModel(u=_numbers(obj, "u"), b=_number(obj, "b"))
-    if kind == "kernel":
-        support = _numbers(obj, "support")
-        if support.ndim != 2:
-            raise ValueError("model field 'support' must be a 2-d (points, features) "
-                             f"array, got shape {support.shape}")
-        m = support.shape[0]
-        return KernelModel(
-            alpha=_numbers(obj, "alpha"),
-            support=support,
-            kernel=KernelSpec(kind=_field(obj, "kernel", "kind"),
-                              gamma=_number(obj, "kernel", "gamma")),
-            partition=Partition(blocks=np.arange(m)[None, :], n=m),
-        )
-    raise ValueError(f"unknown model type {kind!r}")
+        return LinearModel(**fields)
+    m = fields["support"].shape[0]
+    return KernelModel(alpha=fields["alpha"], support=fields["support"],
+                       kernel=KernelSpec(**fields["kernel"]),
+                       partition=Partition(blocks=np.arange(m)[None, :], n=m))

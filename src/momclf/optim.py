@@ -31,6 +31,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
+from momclf._fields import INDICES, INTEGER, NUMBER, read_fields
 from momclf.data import Dataset, Partition, random_equipartition
 from momclf.losses import LossKind, loss_grad_score, loss_value
 from momclf.mom import block_means, median_block_index, mom_estimate
@@ -163,69 +164,38 @@ class TrainTrace:
 
     @classmethod
     def from_jsonl(cls, path) -> "TrainTrace":
-        """Read a trace written by :meth:`to_jsonl`.  A malformed line
-        raises ValueError naming the path, its 1-based number and, when one
-        is missing or has the wrong JSON type, the field."""
-        steps = []
-        meta = None
+        """Read a trace written by :meth:`to_jsonl`: its meta line, then one
+        record a step.  A malformed line, or a block that is not
+        ``block_size`` indices in [0, n), raises ValueError naming the path,
+        the line's 1-based number and, where there is one, the field."""
+        steps, lineno = [], 1
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    obj = json.loads(line)
-                    if "meta" in obj:
-                        meta = _json_fields(obj["meta"], _META_FIELDS)
-                        continue
-                    steps.append(IterationRecord(
-                        block=_json_block(obj), **_json_fields(obj, _STEP_FIELDS)))
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}: line {lineno}: not JSON "
-                                     f"({exc.msg})") from None
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
-                except KeyError as exc:
-                    raise ValueError(f"{path}: line {lineno}: missing field "
-                                     f"{exc.args[0]!r}") from None
-                except TypeError:
-                    raise ValueError(f"{path}: line {lineno}: not a trace "
-                                     "record") from None
-        if meta is None:
-            raise ValueError(f"{path}: missing meta line")
+            try:
+                meta = read_fields(_decode(fh.readline()), _META_LINE, "record")["meta"]
+                n, size = meta["n"], meta["block_size"]
+                for lineno, line in enumerate(fh, start=2):
+                    obj = _decode(line)
+                    rec = read_fields(obj, _STEP_FIELDS, "record")
+                    block = obj["block"]
+                    if len(block) != size or block and (min(block) < 0 or max(block) >= n):
+                        raise ValueError(f"field 'block' must hold {size} indices in "
+                                         f"[0, {n}), got {json.dumps(block)[:40]}")
+                    steps.append(IterationRecord(**rec))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: not JSON "
+                                 f"({exc.msg})") from None
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
         return cls(steps=steps, **meta)
 
 
-# The JSON type of each scalar field of a trace line.  Python types are
-# matched exactly: JSON true and false load as bool, a subclass of int.
-_JSON_TYPES = {"integer": (int,), "number": (int, float)}
-_META_FIELDS = {"n": "integer", "k": "integer", "t": "integer",
-                "block_size": "integer", "final_objective": "number"}
-_STEP_FIELDS = {"t": "integer", "partition_seed": "integer",
-                "k_med": "integer", "objective": "number"}
-
-
-def _json_fields(obj: dict, fields: dict) -> dict:
-    """{name: obj[name]} for each name of ``fields``; ValueError naming the
-    first field whose value has another JSON type."""
-    values = {}
-    for name, kind in fields.items():
-        value = obj[name]
-        if type(value) not in _JSON_TYPES[kind]:
-            raise ValueError(f"field {name!r} must be a JSON {kind}, "
-                             f"got {json.dumps(value)[:40]}")
-        values[name] = value
-    return values
-
-
-def _json_block(obj: dict) -> np.ndarray:
-    """The list of JSON integers ``obj["block"]`` as an index array;
-    ValueError naming the field if it is anything else."""
-    value = obj["block"]
-    if type(value) is list and set(map(type, value)) <= {int}:
-        try:
-            return np.array(value, dtype=np.intp)
-        except OverflowError:  # beyond the index range
-            pass
-    raise ValueError("field 'block' must be a list of JSON integers, "
-                     f"got {json.dumps(value)[:40]}")
+# json.loads without its per-call argument handling, for one call a line
+_decode = json.JSONDecoder().decode
+# The field kinds of a trace's meta line and of each step record.
+_META_LINE = {"meta": {"n": INTEGER, "k": INTEGER, "t": INTEGER,
+                       "block_size": INTEGER, "final_objective": NUMBER}}
+_STEP_FIELDS = {"t": INTEGER, "partition_seed": INTEGER, "k_med": INTEGER,
+                "block": INDICES, "objective": NUMBER}
 
 
 def _redrawn_partitions(n: int, k: int, rng):
@@ -279,8 +249,6 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
     """
     X, y = ds.training_arrays()
     n = ds.n
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
     if init.u.shape[0] != ds.p:
         raise ValueError("init dimension does not match the dataset")
     block_size = n // cfg.k
@@ -349,15 +317,9 @@ def median_block_gradient_check(ds: Dataset, m: LinearModel,
 
     p = m.u.shape[0]
     numeric = np.empty(p + 1)
-    for j in range(p + 1):
-        du = np.zeros(p)
-        db = 0.0
-        if j < p:
-            du[j] = h
-        else:
-            db = h
-        hi = mom_objective(ds, LinearModel(u=m.u + du, b=m.b + db), partition, loss)
-        lo = mom_objective(ds, LinearModel(u=m.u - du, b=m.b - db), partition, loss)
+    for j, d in enumerate(np.eye(p + 1) * h):
+        hi = mom_objective(ds, LinearModel(u=m.u + d[:p], b=m.b + d[p]), partition, loss)
+        lo = mom_objective(ds, LinearModel(u=m.u - d[:p], b=m.b - d[p]), partition, loss)
         numeric[j] = (hi - lo) / (2.0 * h)
 
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-10)
@@ -467,8 +429,6 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     """
     X, y = ds.training_arrays()
     n = ds.n
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
     part_seed, part = next(_redrawn_partitions(n, cfg.k,
                                                np.random.default_rng(cfg.seed)))
     mats = block_kernel_matrices(ds, part, cfg.kernel)

@@ -94,16 +94,9 @@ def write_counts_csv(sc: SelectionCounts, path, ds: Dataset | None = None) -> No
     if ds is not None and ds.n != sc.counts.size:
         raise ValueError(f"dataset has {ds.n} rows but the counts cover "
                          f"n={sc.counts.size} samples")
+    flags = None if ds is None else ds.is_outlier
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["index", "count"]
-        flags = None
-        if ds is not None and ds.is_outlier is not None:
-            header.append("is_outlier")
-            flags = ds.is_outlier
-        writer.writerow(header)
+        writer.writerow(["index", "count"] + ([] if flags is None else ["is_outlier"]))
         for i, c in enumerate(sc.counts):
-            row = [i, int(c)]
-            if flags is not None:
-                row.append(int(flags[i]))
-            writer.writerow(row)
+            writer.writerow([i, int(c)] + ([] if flags is None else [int(flags[i])]))

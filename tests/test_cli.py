@@ -113,7 +113,7 @@ def test_outlier_scores_reports_a_malformed_trace_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["outlier-scores", "--trace", str(trace),
                  "--output", str(tmp_path / "s.csv")]) == 1
-    assert "line 2: missing field 'k_med'" in capsys.readouterr().err
+    assert "line 2: field 'k_med' is missing" in capsys.readouterr().err
 
 
 def test_outlier_scores_rejects_a_trace_block_of_non_integers(tmp_path, capsys):
@@ -130,6 +130,25 @@ def test_outlier_scores_rejects_a_trace_block_of_non_integers(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(trace) in err
     assert "line 2: field 'block' must be a list of JSON integers" in err
+    assert not scores.exists()
+
+
+@pytest.mark.parametrize("block", ["[-1, 0]", "[0, 4]", "[0]"],
+                         ids=["negative", "beyond-n", "short"])
+def test_outlier_scores_rejects_a_trace_block_outside_the_trace(tmp_path, capsys,
+                                                               block):
+    # a negative index used to wrap and count sample n - 1
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"meta": {"n": 4, "k": 2, "t": 1, "block_size": 2, '
+                     '"final_objective": 0.5}}\n'
+                     '{"t": 0, "partition_seed": 1, "k_med": 0, '
+                     f'"block": {block}, "objective": 0.5}}\n')
+    scores = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["outlier-scores", "--trace", str(trace),
+                 "--output", str(scores)]) == 1
+    err = capsys.readouterr().err
+    assert f"{trace}: line 2: field 'block' must hold 2 indices in [0, 4)" in err
     assert not scores.exists()
 
 
@@ -215,7 +234,7 @@ def test_predict_names_a_non_numeric_kernel_gamma(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--model", str(model), "--data", str(data),
                  "--output", str(tmp_path / "p.csv")]) == 1
-    assert "model field 'kernel.gamma' must hold JSON numbers" in capsys.readouterr().err
+    assert "model field 'kernel.gamma' must be a JSON number" in capsys.readouterr().err
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -292,6 +311,49 @@ def test_train_config_file_with_flag_override(tmp_path):
     # no algo from either source
     assert main(["train", "--data", str(data),
                  "--model", str(tmp_path / "m4.json")]) == 1
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"k": "5"}', "config field 'k' must be a JSON integer, got \"5\""),
+    ('{"t": 2.5}', "config field 't' must be a JSON integer, got 2.5"),
+    ("[1, 2]", "config file must be a JSON object, got list"),
+    ('{"gamma": true}', "config field 'gamma' must be a JSON number or string, got true"),
+    ('{"gamma": "wide"}', "config field 'gamma' must be a JSON number, \"auto\" or "
+                          "\"median\", got \"wide\""),
+    ('{"eta0": NaN}', "config field 'eta0' must hold finite JSON numbers"),
+    ('{"seed": null}', "config field 'seed' must be a JSON integer, got null"),
+    ('{"bogus": 1}', "config has unknown keys ['bogus']"),
+], ids=["k-string", "t-float", "list", "gamma-bool", "gamma-word", "eta0-nan",
+        "seed-null", "unknown-key"])
+def test_train_config_names_the_path_and_key_of_a_bad_value(tmp_path, capsys,
+                                                           config, message):
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "20", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", "--algo", "fast-klr-mom", "--config", str(cfg),
+                 "--data", str(data), "--model", str(model)]) == 1
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_train_config_gamma_takes_a_number_auto_or_median(tmp_path):
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "20", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    cfg = tmp_path / "cfg.json"
+    models = []
+    for gamma in (0.5, 1, "auto", "median"):
+        cfg.write_text(json.dumps({"algo": "fast-klr-mom", "k": 2, "t": 5,
+                                   "gamma": gamma}))
+        models.append(tmp_path / f"m{len(models)}.json")
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--model", str(models[-1])]) == 0
+    gammas = [json.loads(m.read_text())["kernel"]["gamma"] for m in models]
+    assert gammas[:3] == [0.5, 1.0, 0.5]  # auto is 1/p with p = 2
 
 
 def test_train_erm_trace_selects_every_sample_at_every_step(tmp_path, capsys):

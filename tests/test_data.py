@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import chi2, norm
 
 from momclf.data import (
@@ -317,3 +318,59 @@ def test_equipartition_rows_sorted_disjoint_in_range(nk, seed, data):
         bad[dst, j] = bad[src, i]
         with pytest.raises(ValueError, match="disjoint"):
             Partition(blocks=bad, n=n)
+
+
+@st.composite
+def _datasets(draw):
+    n, p = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return Dataset(X=draw(hnp.arrays(float, (n, p), elements=finite)),
+                   y=draw(hnp.arrays(float, n, elements=st.sampled_from([-1.0, 1.0]))),
+                   is_outlier=draw(st.none() | hnp.arrays(bool, n)))
+
+
+_CSV_MUTATIONS = ["none", "drop", "retype", "reshape", "non-finite", "truncate",
+                  "add-column"]
+
+
+@given(_datasets(), st.sampled_from(_CSV_MUTATIONS), st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_csv_returns_the_dataset_or_names_path_and_row(tmp_path, ds, mutation,
+                                                           data):
+    # one mutation of a written file: the reader returns the same dataset or
+    # raises a ValueError naming the path and, for a data row, the row
+    path = tmp_path / "d.csv"
+    write_csv(ds, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    r = data.draw(st.integers(0 if mutation in ("drop", "add-column") else 1,
+                              len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[r]) - 1))
+    if mutation == "drop":
+        del rows[r][j]
+    elif mutation == "retype":
+        rows[r][j] = "abc"
+    elif mutation == "reshape":
+        rows[r].append(rows[r][j])
+    elif mutation == "non-finite":
+        rows[r][j] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+    elif mutation == "add-column":
+        rows[r].append("extra" if r == 0 else "0.5")
+    text = "".join(",".join(row) + "\n" for row in rows)
+    if mutation == "truncate":
+        # the last line loses at least one character but not all of them
+        start = text.rstrip("\n").rfind("\n") + 1
+        r = len(rows) - 1
+        text = text[:data.draw(st.integers(start + 1, len(text) - 2))]
+    path.write_text(text)
+    try:
+        back = load_csv(path)
+    except ValueError as exc:
+        assert mutation != "none"
+        assert str(path) in str(exc)
+        assert r == 0 or f"row {r + 1}" in str(exc) or "header" in str(exc)
+    else:
+        assert mutation in ("none", "truncate")
+        assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+        assert (back.is_outlier is None if ds.is_outlier is None
+                else np.array_equal(back.is_outlier, ds.is_outlier))

@@ -378,26 +378,48 @@ def _linear_file(**fields):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("[]", "a model file must be a JSON object, got list"),
+    ("[]", "model file must be a JSON object, got list"),
     (_kernel_file(support=5.0), r"model field 'support' must be a 2-d .* got shape \(\)"),
     (_kernel_file(kernel=3), "model field 'kernel' must be a JSON object, got int"),
     (_kernel_file(kernel={"kind": "rbf", "gamma": "x"}),
-     "model field 'kernel.gamma' must hold JSON numbers"),
+     "model field 'kernel.gamma' must be a JSON number"),
     (_kernel_file(kernel={"kind": "rbf", "gamma": None}),
-     "model field 'kernel.gamma' must hold JSON numbers"),
+     "model field 'kernel.gamma' must be a JSON number"),
     (_kernel_file(kernel={"kind": "rbf", "gamma": [1.0]}),
-     r"model field 'kernel.gamma' must be a number, got shape \(1,\)"),
+     r"model field 'kernel.gamma' must be a JSON number, got \[1.0\]"),
     (_kernel_file(kernel={"kind": "rbf", "gamma": True}),
-     "model field 'kernel.gamma' must hold JSON numbers, got true"),
-    (_linear_file(b="x"), "model field 'b' must hold JSON numbers"),
-    (_linear_file(u="ab"), "model field 'u' must hold JSON numbers"),
-    (_kernel_file(alpha=["x"]), "model field 'alpha' must hold JSON numbers"),
+     "model field 'kernel.gamma' must be a JSON number, got true"),
+    (_linear_file(b="x"), "model field 'b' must be a JSON number"),
+    (_linear_file(u="ab"), "model field 'u' must hold finite JSON numbers"),
+    (_kernel_file(alpha=["x"]), "model field 'alpha' must hold finite JSON numbers"),
 ], ids=["top-level-list", "scalar-support", "scalar-kernel", "string-gamma",
         "null-gamma", "list-gamma", "boolean-gamma", "string-b", "string-u",
         "string-alpha"])
 def test_model_from_json_names_a_field_of_the_wrong_type(text, message):
     with pytest.raises(ValueError, match=message):
         model_from_json(text)
+
+
+_NUMERIC_FIELDS = [("linear", ("u", 1)), ("linear", ("b",)),
+                   ("kernel", ("kernel", "gamma")), ("kernel", ("alpha", 0)),
+                   ("kernel", ("support", 2, 1))]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind, path", _NUMERIC_FIELDS,
+                         ids=[f"{kind}-{path[0]}" for kind, path in _NUMERIC_FIELDS])
+def test_model_from_json_refuses_a_non_finite_number(kind, path, value):
+    # json.loads reads NaN, Infinity and -Infinity, which json.dumps writes
+    obj = json.loads(_linear_file() if kind == "linear" else _kernel_file())
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    field = "kernel.gamma" if path[0] == "kernel" else path[0]
+    with pytest.raises(ValueError, match=f"model field '{field}' must hold "
+                                         "finite JSON numbers"):
+        model_from_json(json.dumps(obj))
 
 
 @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((4, 3)), np.zeros((4, 1))],
@@ -502,3 +524,64 @@ def test_kernel_model_score_never_holds_the_test_by_support_matrix():
     scores, peak = traced_peak(kernel_model_score, m, x)
     assert scores.shape == (1200,)
     assert peak < x.shape[0] * m.support.shape[0] * 8
+
+
+
+_WRONG_TYPES = ["x", True, None, {}, [True], 1.5]
+_MUTATIONS = ["none", "drop", "retype", "reshape", "non-finite", "truncate", "add-key"]
+
+
+def _key_paths(obj, prefix=()):
+    """Every key path of a parsed JSON object, nested objects included."""
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@given(_models_and_points(), st.sampled_from(_MUTATIONS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_model_from_json_returns_the_model_or_names_the_field(model_and_points,
+                                                              mutation, data):
+    # one mutation of a valid file: the reader returns the same model or
+    # raises a ValueError naming the field, and never another exception
+    model = model_and_points[0]
+    obj = json.loads(model_to_json(model))
+    numeric = ([("u",), ("b",)] if "u" in obj
+               else [("alpha",), ("support",), ("kernel", "gamma")])
+    path = data.draw(st.sampled_from(
+        list(_key_paths(obj)) if mutation in ("drop", "retype") else numeric))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "retype":
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in _WRONG_TYPES if type(v) is not type(parent[key])]))
+    elif mutation == "reshape":
+        # alpha one longer than support, or any numeric field one level deeper
+        grow = key == "alpha" and data.draw(st.booleans())
+        parent[key] = parent[key] + [0.0] if grow else [parent[key]]
+    elif mutation == "non-finite":
+        # 10**400 is a JSON integer beyond the float range
+        holder, index = parent, key
+        while isinstance(holder[index], list):
+            holder, index = holder[index], data.draw(
+                st.integers(0, len(holder[index]) - 1))
+        holder[index] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf,
+                                                   10**400]))
+    elif mutation == "add-key":
+        obj["comment"] = "written by hand"
+    text = json.dumps(obj)
+    if mutation == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    try:
+        back = model_from_json(text)
+    except ValueError as exc:
+        assert mutation not in ("none", "add-key")
+        assert mutation == "truncate" or ".".join(path) in str(exc)
+    else:
+        assert mutation in ("none", "add-key")
+        assert model_to_json(back) == model_to_json(model)

@@ -1,9 +1,14 @@
 import itertools
+import json
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import momclf.optim
@@ -28,6 +33,7 @@ from momclf.optim import (
     IRLS_WEIGHT_FLOOR,
     METHODS,
     FastKlrConfig,
+    IterationRecord,
     MomGdConfig,
     StepSchedule,
     TrainTrace,
@@ -206,11 +212,11 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
 
 @pytest.mark.parametrize("lineno, bad_line, message", [
     (3, '{"t": 0, "partition_seed": 1, "block": [0], "objective": 0.5}',
-     "line 3: missing field 'k_med'"),
+     "line 3: field 'k_med' is missing"),
     (1, '{"meta": {"n": 40, "k": 6, "t": 2, "block_size": 7}}',
-     "line 1: missing field 'final_objective'"),
+     "line 1: field 'meta.final_objective' is missing"),
     (3, '{"t": 0, "partition_seed": 1,', "line 3: not JSON"),
-    (2, "[1, 2]", "line 2: not a trace record"),
+    (2, "[1, 2]", "line 2: record must be a JSON object, got list"),
     *[(3, '{"t": 1, "partition_seed": 1, "k_med": 0, "block": %s, '
           '"objective": 0.5}' % block,
        "line 3: field 'block' must be a list of JSON integers")
@@ -225,14 +231,23 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
     (2, '{"t": 0, "partition_seed": 1, "k_med": 0, "block": [0], '
         '"objective": "0.5"}', "line 2: field 'objective' must be a JSON number"),
     (1, '{"meta": {"n": 40.5, "k": 6, "t": 2, "block_size": 7, '
-        '"final_objective": 0.5}}', "line 1: field 'n' must be a JSON integer"),
+        '"final_objective": 0.5}}', "line 1: field 'meta.n' must be a JSON integer"),
     (1, '{"meta": {"n": 40, "k": 6, "t": 2, "block_size": 7, '
         '"final_objective": null}}',
-     "line 1: field 'final_objective' must be a JSON number"),
+     "line 1: field 'meta.final_objective' must be a JSON number"),
+    *[(3, '{"t": 1, "partition_seed": 1, "k_med": 0, "block": %s, '
+          '"objective": 0.5}' % block,
+       "line 3: field 'block' must hold 7 indices in [0, 42)")
+      for block in ("[-1, 0, 1, 2, 3, 4, 5]", "[0, 1, 2, 3, 4, 5, 42]", "[0]",
+                    "[0, 1, 2, 3, 4, 5, 6, 7]", "[]")],
+    (1, '{"t": 0, "partition_seed": 1, "k_med": 0, "block": [0], '
+        '"objective": 0.5}', "line 1: field 'meta' is missing"),
 ], ids=["step-field", "meta-field", "not-json", "not-object",
         "block-floats", "block-2d", "block-ragged", "block-string", "block-bools",
         "block-scalar", "block-overflow", "t-string", "seed-float", "k_med-bool",
-        "objective-string", "meta-n-float", "meta-objective-null"])
+        "objective-string", "meta-n-float", "meta-objective-null",
+        "block-negative", "block-beyond-n", "block-short", "block-long",
+        "block-empty", "meta-not-first"])
 def test_trace_from_jsonl_names_path_line_and_field(tmp_path, lineno, bad_line,
                                                     message):
     ds = generate_toy(40, 2, 7)
@@ -246,6 +261,117 @@ def test_trace_from_jsonl_names_path_line_and_field(tmp_path, lineno, bad_line,
     with pytest.raises(ValueError) as exc:
         TrainTrace.from_jsonl(path)
     assert str(path) in str(exc.value) and message in str(exc.value)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("lineno, field", [(1, "final_objective"), (2, "objective")])
+def test_trace_from_jsonl_refuses_a_non_finite_objective(tmp_path, lineno, field,
+                                                         value):
+    ds = generate_toy(40, 2, 7)
+    _, trace = mom_gd_train(ds, LinearModel.zeros(2),
+                            MomGdConfig(k=6, t=2, seed=1, record_selections=True))
+    path = tmp_path / "trace.jsonl"
+    trace.to_jsonl(path)
+    lines = path.read_text().splitlines()
+    # json.loads reads NaN, Infinity and 1e999 (which overflows to inf)
+    lines[lineno - 1] = re.sub(f'"{field}": [^,}}]+', f'"{field}": {value}',
+                               lines[lineno - 1])
+    path.write_text("\n".join(lines) + "\n")
+    name = "meta." + field if lineno == 1 else field
+    with pytest.raises(ValueError, match=f"line {lineno}: field '{name}' must hold "
+                                         "finite JSON numbers"):
+        TrainTrace.from_jsonl(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    steps = [IterationRecord(t=t, partition_seed=draw(st.integers(0, 2**63 - 1)),
+                             k_med=draw(st.integers(0, k - 1)),
+                             block=np.sort(draw(st.permutations(range(n)))[:n // k]),
+                             objective=draw(_finite))
+             for t in range(draw(st.integers(1, 4)))]
+    return TrainTrace(steps=steps, final_objective=draw(_finite), n=n, k=k,
+                      t=len(steps), block_size=n // k)
+
+
+def _same_trace(a, b):
+    return ((a.n, a.k, a.t, a.block_size, a.final_objective)
+            == (b.n, b.k, b.t, b.block_size, b.final_objective)
+            and len(a.steps) == len(b.steps)
+            and all((r.t, r.partition_seed, r.k_med, r.objective)
+                    == (s.t, s.partition_seed, s.k_med, s.objective)
+                    and np.array_equal(r.block, s.block)
+                    for r, s in zip(a.steps, b.steps)))
+
+
+_WRONG_TYPES = ["x", True, None, {}, [True], 1.5]
+_MUTATIONS = ["none", "drop", "retype", "reshape", "non-finite", "out-of-range",
+              "truncate", "add-key"]
+
+
+@given(_traces(), st.sampled_from(_MUTATIONS), st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_trace_from_jsonl_returns_the_trace_or_names_path_line_and_field(
+        tmp_path, trace, mutation, data):
+    # one mutation of a valid trace: the reader returns the same trace or
+    # raises a ValueError naming the path, the line and the field
+    path = tmp_path / "trace.jsonl"
+    trace.to_jsonl(path)
+    text = path.read_text()
+    lines = [json.loads(line) for line in text.splitlines()]
+    lineno = data.draw(st.integers(2 if mutation in ("reshape", "out-of-range")
+                                   else 1, len(lines)))
+    record = lines[lineno - 1]
+    # (object, key, the name a message gives the key)
+    fields = ([(record, "meta", "meta")] + [(record["meta"], key, "meta." + key)
+                                            for key in record["meta"]]
+              if lineno == 1 else [(record, key, key) for key in record])
+    holder, key, name = data.draw(st.sampled_from(fields))
+    if mutation == "drop":
+        del holder[key]
+    elif mutation == "retype":
+        holder[key] = data.draw(st.sampled_from(
+            [v for v in _WRONG_TYPES if type(v) is not type(holder[key])]))
+    elif mutation == "reshape":
+        key = name = "block"
+        record[key] = record[key][:-1] if data.draw(st.booleans()) else record[key] + [0]
+    elif mutation == "non-finite":
+        # a non-finite objective or block index; 10**400 overflows a float
+        bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf, 10**400]))
+        if lineno == 1:
+            record["meta"]["final_objective"], name = bad, "meta.final_objective"
+        elif data.draw(st.booleans()):
+            record["objective"], name = bad, "objective"
+        else:
+            record["block"][0], name = bad, "block"
+    elif mutation == "out-of-range":
+        key = name = "block"
+        record[key][data.draw(st.integers(0, len(record[key]) - 1))] = data.draw(
+            st.sampled_from([-1, trace.n]))
+    elif mutation == "add-key":
+        holder["comment"] = "written by hand"
+    text = "".join(json.dumps(line) + "\n" for line in lines)
+    if mutation == "truncate":
+        # the last line loses at least its closing brace but not all of it
+        start = text.rstrip("\n").rfind("\n") + 1
+        lineno = len(lines)
+        text = text[:data.draw(st.integers(start + 1, len(text) - 2))]
+    path.write_text(text)
+    try:
+        back = TrainTrace.from_jsonl(path)
+    except ValueError as exc:
+        assert mutation not in ("none", "add-key")
+        assert f"{path}: line {lineno}: " in str(exc)
+        assert mutation == "truncate" or f"'{name}'" in str(exc)
+    else:
+        assert mutation in ("none", "add-key")
+        assert _same_trace(back, trace)
 
 
 REPLAY_DATA = generate_toy(60, 4, 31)
