@@ -1,10 +1,10 @@
 """The one field check of every JSON input: model files, traces and configs.
 
 A spec maps each field name to a kind: the Python types a JSON scalar of that
-kind loads as, a nested spec, FLOATS (finite numbers at any depth, as a float
-array) or INDICES (a flat list of JSON integers, as an index array).  Types
-match exactly, so true is not an integer, and numbers must be finite, since
-``json.loads`` accepts NaN and Infinity."""
+kind loads as, a nested spec, a frozenset of the strings it may hold, FLOATS
+(finite numbers at any depth, as a float array) or INDICES (a flat list of JSON
+integers, as an index array).  Types match exactly, so true is not an integer,
+and numbers must be finite, since ``json.loads`` accepts NaN and Infinity."""
 
 import json
 import sys
@@ -36,7 +36,7 @@ def read_fields(obj, spec: dict, name: str, partial=False, prefix="") -> dict:
         # commonest kind first, no path built unless needed: traces are long
         if kind is INTEGER:
             if type(value) is not int:
-                raise _fault(prefix + field, "be a JSON integer", value)
+                raise fault(prefix + field, "be a JSON integer", value)
         elif kind is INDICES:
             value = _indices(value, prefix + field)
         elif kind is FLOATS:
@@ -44,16 +44,21 @@ def read_fields(obj, spec: dict, name: str, partial=False, prefix="") -> dict:
         elif type(kind) is dict:
             value = read_fields(value, kind, f"field {prefix + field!r}",
                                 prefix=f"{prefix}{field}.")
+        elif type(kind) is frozenset:
+            if type(value) is not str or value not in kind:
+                raise fault(prefix + field, "be one of "
+                             + ", ".join(map(json.dumps, sorted(kind))), value)
         elif type(value) not in kind:
-            raise _fault(prefix + field, f"be a JSON {_NAMES[kind]}", value)
+            raise fault(prefix + field, f"be a JSON {_NAMES[kind]}", value)
         # false for NaN, the infinities and integers beyond the float range
         elif type(value) is not str and not -_LARGEST <= value <= _LARGEST:
-            raise _fault(prefix + field, f"hold {FLOATS}", value)
+            raise fault(prefix + field, f"hold {FLOATS}", value)
         values[field] = value
     return values
 
 
-def _fault(path: str, rule: str, value) -> ValueError:
+def fault(path: str, rule: str, value) -> ValueError:
+    """The error of a field whose value breaks ``rule``: "must <rule>, got <value>"."""
     return ValueError(f"field {path!r} must {rule}, got {json.dumps(value)[:40]}")
 
 
@@ -64,7 +69,7 @@ def _floats(value, path: str) -> np.ndarray:
         array = np.asarray(None)
     # refuses bool, str and object arrays (null, integers beyond int64)
     if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
-        raise _fault(path, f"hold {FLOATS}", value)
+        raise fault(path, f"hold {FLOATS}", value)
     return array.astype(float)
 
 
@@ -74,4 +79,4 @@ def _indices(value, path: str) -> np.ndarray:
             return np.array(value, dtype=np.intp)
         except OverflowError:  # beyond the index range
             pass
-    raise _fault(path, f"be a {INDICES}", value)
+    raise fault(path, f"be a {INDICES}", value)

@@ -15,16 +15,10 @@ import sys
 import numpy as np
 
 from momclf import bench, optim
-from momclf._fields import INTEGER, NUMBER, NUMBER_OR_STRING, STRING, read_fields
-from momclf.data import (
-    Dataset,
-    generate_gaussians,
-    generate_moons,
-    generate_toy,
-    load_csv,
-    write_csv,
-)
+from momclf._fields import INTEGER, NUMBER, NUMBER_OR_STRING, STRING, fault, read_fields
+from momclf.data import generate_gaussians, generate_moons, generate_toy, load_csv, write_csv
 from momclf.model import (
+    KERNEL_KINDS,
     KernelSpec,
     default_gamma,
     median_heuristic_gamma,
@@ -41,14 +35,62 @@ from momclf.outlier import (
 )
 
 
+# argparse names a bad flag value by its type's __name__: no leading underscore
+def bandwidth(value):
+    """An RBF bandwidth: a number, "auto" or "median".  The type of --gamma,
+    which reads the number from its text, and the check of a config's gamma."""
+    if type(value) is not str or value in ("auto", "median"):
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise fault("gamma", 'be a JSON number, "auto" or "median"', value) from None
+
+
+def int_list(raw: str) -> list:
+    return [int(v) for v in raw.split(",") if v.strip()]
+
+
+def _label_column(raw: str):
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
+
+
+# Each option of ``train`` once: {name: (JSON kind, default, flag type, allowed
+# values, help)}.  Its flag is --name with "-" for "_", its config key the name.
+TRAIN_OPTIONS = {
+    "algo": (STRING, None, str, METHODS, None),
+    "k": (INTEGER, 120, int, None, "number of blocks"),
+    "t": (INTEGER, 2000, int, None, "iterations"),
+    "eta0": (NUMBER, 0.5, float, None, None),
+    "schedule": (STRING, "inverse-t", str, optim.SCHEDULE_KINDS, None),
+    "gradient_mode": (STRING, "sum", str, optim.GRADIENT_MODES,
+                      "block-sum update (literal) or mean form"),
+    "beta": (NUMBER, 1e-3, float, None, "kernel engines: regularization strength"),
+    "kernel": (STRING, "rbf", str, KERNEL_KINDS, None),
+    "gamma": (NUMBER_OR_STRING, "auto", bandwidth, None, "rbf bandwidth: positive "
+              "float, 'auto' (1/p) or 'median' (median heuristic)"),
+    "seed": (INTEGER, 0, int, None, None),
+}
+_CONFIG_FIELDS = {name: frozenset(allowed) if allowed else kind
+                  for name, (kind, _, _, allowed, _) in TRAIN_OPTIONS.items()}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="momclf",
         description="Robust binary classification by median-of-means "
                     "risk minimization.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options of every subcommand that writes one file from a seed
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--output", required=True)
 
-    gen = sub.add_parser("generate", help="write a synthetic dataset as CSV")
+    gen = sub.add_parser("generate", parents=[seeded],
+                         help="write a synthetic dataset as CSV")
     gen.add_argument("--kind", choices=("toy", "moons", "gaussians"),
                      required=True)
     gen.add_argument("--inliers", type=int, default=600,
@@ -59,41 +101,28 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="moons/gaussians: total sample count")
     gen.add_argument("--noise-sd", type=float, default=0.3,
                      help="moons only: noise standard deviation")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--output", required=True)
+    gen.set_defaults(handler=_cmd_generate)
 
     train = sub.add_parser("train", help="train a classifier on a CSV dataset")
-    train.add_argument("--algo", choices=METHODS, default=None)
-    train.add_argument("--config", default=None,
-                       help="JSON file with training options; explicit flags win")
+    train.add_argument("--config", help="JSON file with training options; explicit flags win")
     train.add_argument("--data", required=True)
-    train.add_argument("--label-column", default=None,
+    train.add_argument("--label-column", type=_label_column,
                        help="label column name or 0-based index")
-    train.add_argument("--k", type=int, default=None, help="number of blocks")
-    train.add_argument("--t", type=int, default=None, help="iterations")
-    train.add_argument("--eta0", type=float, default=None)
-    train.add_argument("--schedule", choices=("inverse-t", "constant"),
-                       default=None)
-    train.add_argument("--gradient-mode", choices=("sum", "mean"),
-                       default=None,
-                       help="block-sum update (literal) or mean form")
-    train.add_argument("--beta", type=float, default=None,
-                       help="kernel engines: regularization strength")
-    train.add_argument("--kernel", choices=("linear", "rbf"), default=None)
-    train.add_argument("--gamma", default=None,
-                       help="rbf bandwidth: positive float, 'auto' (1/p) "
-                            "or 'median' (median heuristic)")
-    train.add_argument("--seed", type=int, default=None)
+    # each defaults to None, "not given", so that the config or TRAIN_OPTIONS applies
+    for name, (_, _, flag_type, allowed, text) in TRAIN_OPTIONS.items():
+        train.add_argument("--" + name.replace("_", "-"), type=flag_type,
+                           choices=allowed, help=text)
     train.add_argument("--model", required=True, help="output model JSON path")
-    train.add_argument("--trace", default=None,
-                       help="optional JSONL path for the per-iteration trace")
+    train.add_argument("--trace", help="optional JSONL path for the per-iteration trace")
+    train.set_defaults(handler=_cmd_train)
 
     pred = sub.add_parser("predict", help="predict labels for a CSV dataset")
     pred.add_argument("--model", required=True)
     pred.add_argument("--data", required=True)
-    pred.add_argument("--label-column", default=None)
+    pred.add_argument("--label-column", type=_label_column)
     pred.add_argument("--output", required=True,
                       help="output CSV of per-row predictions")
+    pred.set_defaults(handler=_cmd_predict)
 
     scores = sub.add_parser("outlier-scores",
                             help="selection counts and flags from a trace")
@@ -105,48 +134,44 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="optional training CSV with is_outlier flags "
                              "for precision/recall")
     scores.add_argument("--output", required=True)
+    scores.set_defaults(handler=_cmd_outlier_scores)
 
-    rob = sub.add_parser("bench-robustness",
+    rob = sub.add_parser("bench-robustness", parents=[seeded],
                          help="corrupted-vs-clean accuracy comparison")
     rob.add_argument("--runs", type=int, default=50)
-    rob.add_argument("--seed", type=int, default=0)
-    rob.add_argument("--output", required=True, help="report JSON path")
+    rob.set_defaults(handler=_cmd_bench, experiment=lambda a: bench.run_robustness_experiment(
+        a.runs, master_seed=a.seed))
 
-    ksw = sub.add_parser("bench-ksweep", help="accuracy as a function of K")
-    ksw.add_argument("--k-values", default="10,30,60,90,120,200",
+    ksw = sub.add_parser("bench-ksweep", parents=[seeded],
+                         help="accuracy as a function of K")
+    ksw.add_argument("--k-values", type=int_list, default="10,30,60,90,120,200",
                      help="comma-separated block counts")
     ksw.add_argument("--runs", type=int, default=50)
     ksw.add_argument("--outliers", type=int, default=30)
-    ksw.add_argument("--seed", type=int, default=0)
-    ksw.add_argument("--output", required=True)
+    ksw.set_defaults(handler=_cmd_bench, experiment=lambda a: bench.run_k_sweep(
+        a.k_values, a.runs, master_seed=a.seed, n_outliers=a.outliers))
 
-    rates = sub.add_parser("bench-rates",
+    rates = sub.add_parser("bench-rates", parents=[seeded],
                            help="excess logistic risk against n and its slope")
     rates.add_argument("--dataset", choices=("moons", "gaussians"),
                        required=True)
-    rates.add_argument("--n-values", default="250,500,1000,2000,4000,8000")
+    rates.add_argument("--n-values", type=int_list,
+                       default="250,500,1000,2000,4000,8000")
     rates.add_argument("--runs", type=int, default=20)
-    rates.add_argument("--seed", type=int, default=0)
-    rates.add_argument("--output", required=True)
+    rates.set_defaults(handler=_cmd_bench, experiment=lambda a: bench.run_rate_experiment(
+        a.dataset, n_values=a.n_values, n_runs=a.runs, master_seed=a.seed))
 
-    timing = sub.add_parser("bench-timing", help="wall-clock timing probe")
+    timing = sub.add_parser("bench-timing", parents=[seeded],
+                            help="wall-clock timing probe")
     timing.add_argument("--algorithms", default="fast-klr-mom,klr-mom",
+                        type=lambda raw: [v.strip() for v in raw.split(",") if v.strip()],
                         help="comma-separated algorithm names")
     timing.add_argument("--n", type=int, default=4000)
     timing.add_argument("--k", type=int, default=20)
-    timing.add_argument("--seed", type=int, default=0)
-    timing.add_argument("--output", required=True)
+    timing.set_defaults(handler=_cmd_bench, experiment=lambda a: bench.run_timing_probe(
+        a.algorithms, a.n, master_seed=a.seed, k=a.k))
 
     return parser
-
-
-def _parse_label_column(raw):
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
 
 
 def _cmd_generate(args) -> int:
@@ -161,55 +186,38 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _resolve_gamma(raw, ds: Dataset) -> float:
-    if raw == "auto":
-        return default_gamma(ds.p)
-    if raw == "median":
-        return median_heuristic_gamma(ds.X)
-    return float(raw)
-
-
-TRAIN_DEFAULTS = {"algo": None, "k": 120, "t": 2000, "eta0": 0.5,
-                  "schedule": "inverse-t", "gradient_mode": "sum",
-                  "beta": 1e-3, "kernel": "rbf", "gamma": "auto", "seed": 0}
-# The JSON kind of each config key: the keys of TRAIN_DEFAULTS.
-_CONFIG_FIELDS = {"algo": STRING, "k": INTEGER, "t": INTEGER, "eta0": NUMBER,
-                  "schedule": STRING, "gradient_mode": STRING, "beta": NUMBER,
-                  "kernel": STRING, "gamma": NUMBER_OR_STRING, "seed": INTEGER}
-
-
 def _train_options(args) -> dict:
-    """Merge built-in defaults, the optional JSON config, and explicit flags
-    (flags win)."""
-    opts = dict(TRAIN_DEFAULTS)
+    """Merge the defaults of TRAIN_OPTIONS, the optional JSON config, and
+    explicit flags (flags win)."""
+    opts = {name: option[1] for name, option in TRAIN_OPTIONS.items()}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        try:
-            opts.update(read_fields(loaded, _CONFIG_FIELDS, "file", partial=True))
-            if set(loaded) - set(opts):
-                raise ValueError(f"has unknown keys {sorted(set(loaded) - set(opts))}")
-            if opts["gamma"] not in ("auto", "median") and type(opts["gamma"]) is str:
-                raise ValueError("field 'gamma' must be a JSON number, \"auto\" "
-                                 f"or \"median\", got {json.dumps(opts['gamma'])[:40]}")
-        except ValueError as exc:
-            raise ValueError(f"{args.config}: config {exc}") from None
+            try:
+                loaded = json.load(fh)
+                opts.update(read_fields(loaded, _CONFIG_FIELDS, "file", partial=True))
+                if set(loaded) - set(opts):
+                    raise ValueError(f"has unknown keys {sorted(set(loaded) - set(opts))}")
+                opts["gamma"] = bandwidth(opts["gamma"])
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}: config is not JSON ({exc})") from None
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: config {exc}") from None
     opts.update({key: getattr(args, key) for key in opts
                  if getattr(args, key) is not None})
-    if opts["algo"] not in METHODS:
-        raise ValueError(f"algo must be one of {METHODS}, "
-                         f"got {opts['algo']!r}")
     return opts
 
 
 def _cmd_train(args) -> int:
     opts = _train_options(args)
-    ds = load_csv(args.data, _parse_label_column(args.label_column))
+    ds = load_csv(args.data, args.label_column)
     kernel = None
     if opts["algo"] in KERNEL_METHODS:
-        kernel = KernelSpec(kind=opts["kernel"],
-                            gamma=_resolve_gamma(opts["gamma"], ds)
-                            if opts["kernel"] == "rbf" else 1.0)
+        gamma = opts["gamma"] if opts["kernel"] == "rbf" else 1.0
+        if gamma == "auto":
+            gamma = default_gamma(ds.p)
+        elif gamma == "median":
+            gamma = median_heuristic_gamma(ds.X)
+        kernel = KernelSpec(kind=opts["kernel"], gamma=float(gamma))
     model, trace = optim.train(
         opts["algo"], ds, opts["k"], opts["t"],
         StepSchedule(kind=opts["schedule"], eta0=opts["eta0"]),
@@ -227,7 +235,7 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = model_from_json(fh.read())
-    ds = load_csv(args.data, _parse_label_column(args.label_column))
+    ds = load_csv(args.data, args.label_column)
     labels = predict(model, ds.X)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write("prediction\n")
@@ -252,26 +260,8 @@ def _cmd_outlier_scores(args) -> int:
     return 0
 
 
-def _csv_ints(raw):
-    return [int(v) for v in raw.split(",") if v.strip()]
-
-
 def _cmd_bench(args) -> int:
-    if args.command == "bench-robustness":
-        report = bench.run_robustness_experiment(args.runs, master_seed=args.seed)
-    elif args.command == "bench-ksweep":
-        report = bench.run_k_sweep(_csv_ints(args.k_values), args.runs,
-                                   master_seed=args.seed,
-                                   n_outliers=args.outliers)
-    elif args.command == "bench-rates":
-        report = bench.run_rate_experiment(args.dataset,
-                                           n_values=_csv_ints(args.n_values),
-                                           n_runs=args.runs,
-                                           master_seed=args.seed)
-    else:
-        names = [v.strip() for v in args.algorithms.split(",") if v.strip()]
-        report = bench.run_timing_probe(names, args.n, master_seed=args.seed,
-                                        k=args.k)
+    report = args.experiment(args)
     report.to_json(args.output)
     csv_path = str(args.output)
     csv_path = csv_path[:-5] + ".csv" if csv_path.endswith(".json") else csv_path + ".csv"
@@ -282,20 +272,9 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "train": _cmd_train,
-        "predict": _cmd_predict,
-        "outlier-scores": _cmd_outlier_scores,
-        "bench-robustness": _cmd_bench,
-        "bench-ksweep": _cmd_bench,
-        "bench-rates": _cmd_bench,
-        "bench-timing": _cmd_bench,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

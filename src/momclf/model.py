@@ -25,11 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from momclf._fields import FLOATS, NUMBER, STRING, read_fields
+from momclf._fields import FLOATS, NUMBER, fault, read_fields
 from momclf.data import Dataset, Partition
 
 # Version of the model JSON files this module writes and reads.
 MODEL_FORMAT = 2
+
+KERNEL_KINDS = ("linear", "rbf")
 
 # Entries per row tile of an RBF evaluation: 2 MB of float64.
 _TILE_ENTRIES = 2**18
@@ -79,7 +81,7 @@ class KernelSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear", "rbf"):
+        if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and not self.gamma > 0:
             raise ValueError("rbf kernel needs gamma > 0")
@@ -328,7 +330,7 @@ def model_to_json(model) -> str:
 
 
 _MODEL_FIELDS = {"linear": {"u": FLOATS, "b": NUMBER},
-                 "kernel": {"kernel": {"kind": STRING, "gamma": NUMBER},
+                 "kernel": {"kernel": {"kind": frozenset(KERNEL_KINDS), "gamma": NUMBER},
                             "alpha": FLOATS, "support": FLOATS}}
 
 
@@ -338,23 +340,25 @@ def model_from_json(text: str):
     naming it."""
     obj = json.loads(text)
     try:
-        kind = read_fields(obj, {"type": STRING}, "file")["type"]
+        kind = read_fields(obj, {"type": frozenset(_MODEL_FIELDS)}, "file")["type"]
         if obj.get("format") != MODEL_FORMAT:
             found = repr(obj["format"]) if "format" in obj else "missing"
             raise ValueError(f"field 'format' is {found}; "
                              f"this version reads format {MODEL_FORMAT}")
-        if kind not in _MODEL_FIELDS:
-            raise ValueError(f"field 'type' is {kind!r}, not 'linear' or 'kernel'")
         fields = read_fields(obj, _MODEL_FIELDS[kind], "file")
         for key, ndim in (("u", 1), ("alpha", 1), ("support", 2)):
             if key in fields and fields[key].ndim != ndim:
                 raise ValueError(f"field {key!r} must be a {ndim}-d array, "
                                  f"got shape {fields[key].shape}")
+        if kind == "linear":
+            return LinearModel(**fields)
+        try:
+            spec = KernelSpec(**fields["kernel"])
+        except ValueError:  # the kind is one of KERNEL_KINDS, so gamma is at fault
+            raise fault("kernel.gamma", "be > 0 for an rbf kernel",
+                        fields["kernel"]["gamma"]) from None
+        m = fields["support"].shape[0]
+        return KernelModel(alpha=fields["alpha"], support=fields["support"], kernel=spec,
+                           partition=Partition(blocks=np.arange(m)[None, :], n=m))
     except ValueError as exc:
         raise ValueError(f"model {exc}") from None
-    if kind == "linear":
-        return LinearModel(**fields)
-    m = fields["support"].shape[0]
-    return KernelModel(alpha=fields["alpha"], support=fields["support"],
-                       kernel=KernelSpec(**fields["kernel"]),
-                       partition=Partition(blocks=np.arange(m)[None, :], n=m))

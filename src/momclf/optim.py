@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -31,7 +32,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from momclf._fields import INDICES, INTEGER, NUMBER, read_fields
+from momclf._fields import INDICES, INTEGER, NUMBER, fault, read_fields
 from momclf.data import Dataset, Partition, random_equipartition
 from momclf.losses import LossKind, loss_grad_score, loss_value
 from momclf.mom import block_means, median_block_index, mom_estimate
@@ -47,6 +48,9 @@ from momclf.model import (
 IRLS_WEIGHT_FLOOR = 1e-10  # keeps z and beta / w finite at saturated probabilities
 
 _SEED_BOUND = 2**63
+
+SCHEDULE_KINDS = ("inverse-t", "constant")
+GRADIENT_MODES = ("sum", "mean")
 
 
 class NumericError(RuntimeError):
@@ -65,7 +69,7 @@ class StepSchedule:
     eta0: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in ("inverse-t", "constant"):
+        if self.kind not in SCHEDULE_KINDS:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.kind == "inverse-t" and not self.eta0 > 0:
             raise ValueError("eta0 must be positive")
@@ -103,7 +107,7 @@ class MomGdConfig:
             raise ValueError("k must be >= 1")
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if self.gradient_mode not in ("sum", "mean"):
+        if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
         if self.loss is LossKind.ZERO_ONE:
             raise ValueError("training needs a surrogate loss with a gradient")
@@ -165,21 +169,24 @@ class TrainTrace:
     @classmethod
     def from_jsonl(cls, path) -> "TrainTrace":
         """Read a trace written by :meth:`to_jsonl`: its meta line, then one
-        record a step.  A malformed line, or a block that is not
-        ``block_size`` indices in [0, n), raises ValueError naming the path,
-        the line's 1-based number and, where there is one, the field."""
+        record a step.  A malformed line, a block that is not ``block_size``
+        ascending indices in [0, n) or a ``k_med`` outside [0, k) raises
+        ValueError naming the path, the line's 1-based number and any field."""
         steps, lineno = [], 1
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 meta = read_fields(_decode(fh.readline()), _META_LINE, "record")["meta"]
-                n, size = meta["n"], meta["block_size"]
+                n, k, size = meta["n"], meta["k"], meta["block_size"]
                 for lineno, line in enumerate(fh, start=2):
                     obj = _decode(line)
                     rec = read_fields(obj, _STEP_FIELDS, "record")
                     block = obj["block"]
-                    if len(block) != size or block and (min(block) < 0 or max(block) >= n):
-                        raise ValueError(f"field 'block' must hold {size} indices in "
-                                         f"[0, {n}), got {json.dumps(block)[:40]}")
+                    if len(block) != size or block and (block[0] < 0 or block[-1] >= n or any(
+                            map(operator.ge, block, block[1:]))):  # repeats or descends
+                        raise fault("block", f"hold {size} indices in [0, {n}), ascending",
+                                    block)
+                    if not 0 <= rec["k_med"] < k:
+                        raise fault("k_med", f"lie in [0, {k})", rec["k_med"])
                     steps.append(IterationRecord(**rec))
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: not JSON "

@@ -133,8 +133,9 @@ def test_outlier_scores_rejects_a_trace_block_of_non_integers(tmp_path, capsys):
     assert not scores.exists()
 
 
-@pytest.mark.parametrize("block", ["[-1, 0]", "[0, 4]", "[0]"],
-                         ids=["negative", "beyond-n", "short"])
+@pytest.mark.parametrize("block", ["[-1, 0]", "[0, 4]", "[0]", "[0, 0]", "[1, 0]"],
+                         ids=["negative", "beyond-n", "short", "repeated",
+                              "descending"])
 def test_outlier_scores_rejects_a_trace_block_outside_the_trace(tmp_path, capsys,
                                                                block):
     # a negative index used to wrap and count sample n - 1
@@ -149,6 +150,21 @@ def test_outlier_scores_rejects_a_trace_block_outside_the_trace(tmp_path, capsys
                  "--output", str(scores)]) == 1
     err = capsys.readouterr().err
     assert f"{trace}: line 2: field 'block' must hold 2 indices in [0, 4)" in err
+    assert not scores.exists()
+
+
+def test_outlier_scores_rejects_a_k_med_outside_the_trace(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"meta": {"n": 4, "k": 2, "t": 1, "block_size": 2, '
+                     '"final_objective": 0.5}}\n'
+                     '{"t": 0, "partition_seed": 1, "k_med": 7, '
+                     '"block": [0, 1], "objective": 0.5}\n')
+    scores = tmp_path / "s.csv"
+    capsys.readouterr()
+    assert main(["outlier-scores", "--trace", str(trace),
+                 "--output", str(scores)]) == 1
+    assert (f"{trace}: line 2: field 'k_med' must lie in [0, 2), got 7"
+            in capsys.readouterr().err)
     assert not scores.exists()
 
 
@@ -268,6 +284,19 @@ def test_bench_toy_experiment_cli(tmp_path, argv):
     assert len(lines) == len(records) + 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench-ksweep", "--k-values", "10,x"],
+    ["bench-rates", "--dataset", "moons", "--n-values", "250,1e3"],
+], ids=["k-values", "n-values"])
+def test_bench_list_flag_of_a_non_integer_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: invalid int_list value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_ksweep_rejects_a_repeated_k(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["bench-ksweep", "--k-values", "10,10", "--runs", "1",
@@ -323,8 +352,9 @@ def test_train_config_file_with_flag_override(tmp_path):
     ('{"eta0": NaN}', "config field 'eta0' must hold finite JSON numbers"),
     ('{"seed": null}', "config field 'seed' must be a JSON integer, got null"),
     ('{"bogus": 1}', "config has unknown keys ['bogus']"),
+    ("{", "config is not JSON (Expecting property name"),
 ], ids=["k-string", "t-float", "list", "gamma-bool", "gamma-word", "eta0-nan",
-        "seed-null", "unknown-key"])
+        "seed-null", "unknown-key", "not-json"])
 def test_train_config_names_the_path_and_key_of_a_bad_value(tmp_path, capsys,
                                                            config, message):
     data = tmp_path / "d.csv"
@@ -338,6 +368,54 @@ def test_train_config_names_the_path_and_key_of_a_bad_value(tmp_path, capsys,
                  "--data", str(data), "--model", str(model)]) == 1
     assert f"error: {cfg}: {message}" in capsys.readouterr().err
     assert not model.exists()
+
+
+_OUT_OF_SET = {"algo": "svm", "schedule": "cosine", "gradient_mode": "bogus",
+               "kernel": "poly", "gamma": "wide"}
+
+
+@pytest.mark.parametrize("algo", ["mom-logistic", "fast-klr-mom"])
+@pytest.mark.parametrize("name", list(_OUT_OF_SET))
+def test_train_refuses_an_out_of_set_value_as_flag_and_as_config(tmp_path, capsys,
+                                                                 name, algo):
+    # refused whatever the algo, even where the engine would ignore the option
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "20", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    opts = {"algo": algo, "k": 2, "t": 5, name: _OUT_OF_SET[name]}
+    model = tmp_path / "m.json"
+    flags = [text for key, value in opts.items()
+             for text in (f"--{key.replace('_', '-')}", str(value))]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["train", *flags, "--data", str(data), "--model", str(model)])
+    assert exc.value.code == 2
+    assert f"argument --{name.replace('_', '-')}: invalid" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(opts))
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--model", str(model)]) == 1
+    assert f"error: {cfg}: config field '{name}' must " in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("algo", ["mom-logistic", "fast-klr-mom"])
+def test_train_config_of_every_default_writes_the_model_of_no_config(tmp_path, algo):
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "120", "--outliers", "4",
+          "--seed", "1", "--output", str(data)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algo": algo, "k": 120, "t": 2000, "eta0": 0.5,
+                               "schedule": "inverse-t", "gradient_mode": "sum",
+                               "beta": 1e-3, "kernel": "rbf", "gamma": "auto",
+                               "seed": 0}))
+    outputs = []
+    for argv in (["--algo", algo], ["--config", str(cfg)]):
+        model, trace = tmp_path / f"m{len(outputs)}.json", tmp_path / f"t{len(outputs)}.jsonl"
+        assert main(["train", *argv, "--data", str(data), "--model", str(model),
+                     "--trace", str(trace)]) == 0
+        outputs.append((model.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_train_config_gamma_takes_a_number_auto_or_median(tmp_path):

@@ -400,6 +400,22 @@ def test_model_from_json_names_a_field_of_the_wrong_type(text, message):
         model_from_json(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    (_linear_file(type="poly"),
+     'model field \'type\' must be one of "kernel", "linear", got "poly"'),
+    (_kernel_file(kernel={"kind": "poly", "gamma": 1.0}),
+     'model field \'kernel.kind\' must be one of "linear", "rbf", got "poly"'),
+    (_kernel_file(kernel={"kind": "rbf", "gamma": 0.0}),
+     "model field 'kernel.gamma' must be > 0 for an rbf kernel, got 0.0"),
+    (_kernel_file(kernel={"kind": "rbf", "gamma": -1}),
+     "model field 'kernel.gamma' must be > 0 for an rbf kernel, got -1"),
+], ids=["type", "kernel-kind", "zero-gamma", "negative-gamma"])
+def test_model_from_json_names_a_field_outside_its_domain(text, message):
+    with pytest.raises(ValueError) as exc:
+        model_from_json(text)
+    assert message in str(exc.value)
+
+
 _NUMERIC_FIELDS = [("linear", ("u", 1)), ("linear", ("b",)),
                    ("kernel", ("kernel", "gamma")), ("kernel", ("alpha", 0)),
                    ("kernel", ("support", 2, 1))]

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -239,7 +239,11 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
           '"objective": 0.5}' % block,
        "line 3: field 'block' must hold 7 indices in [0, 42)")
       for block in ("[-1, 0, 1, 2, 3, 4, 5]", "[0, 1, 2, 3, 4, 5, 42]", "[0]",
-                    "[0, 1, 2, 3, 4, 5, 6, 7]", "[]")],
+                    "[0, 1, 2, 3, 4, 5, 6, 7]", "[]", "[0, 1, 2, 3, 4, 5, 5]",
+                    "[0, 1, 2, 3, 4, 6, 5]")],
+    *[(3, '{"t": 1, "partition_seed": 1, "k_med": %d, "block": [0, 1, 2, 3, 4, 5, 6], '
+          '"objective": 0.5}' % k_med,
+       f"line 3: field 'k_med' must lie in [0, 6), got {k_med}") for k_med in (6, -1)],
     (1, '{"t": 0, "partition_seed": 1, "k_med": 0, "block": [0], '
         '"objective": 0.5}', "line 1: field 'meta' is missing"),
 ], ids=["step-field", "meta-field", "not-json", "not-object",
@@ -247,7 +251,8 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
         "block-scalar", "block-overflow", "t-string", "seed-float", "k_med-bool",
         "objective-string", "meta-n-float", "meta-objective-null",
         "block-negative", "block-beyond-n", "block-short", "block-long",
-        "block-empty", "meta-not-first"])
+        "block-empty", "block-repeated", "block-descending", "k_med-beyond-k",
+        "k_med-negative", "meta-not-first"])
 def test_trace_from_jsonl_names_path_line_and_field(tmp_path, lineno, bad_line,
                                                     message):
     ds = generate_toy(40, 2, 7)
@@ -311,7 +316,8 @@ def _same_trace(a, b):
 
 _WRONG_TYPES = ["x", True, None, {}, [True], 1.5]
 _MUTATIONS = ["none", "drop", "retype", "reshape", "non-finite", "out-of-range",
-              "truncate", "add-key"]
+              "unordered", "k_med-range", "truncate", "add-key"]
+_STEP_MUTATIONS = ("reshape", "out-of-range", "unordered", "k_med-range")
 
 
 @given(_traces(), st.sampled_from(_MUTATIONS), st.data())
@@ -325,8 +331,7 @@ def test_trace_from_jsonl_returns_the_trace_or_names_path_line_and_field(
     trace.to_jsonl(path)
     text = path.read_text()
     lines = [json.loads(line) for line in text.splitlines()]
-    lineno = data.draw(st.integers(2 if mutation in ("reshape", "out-of-range")
-                                   else 1, len(lines)))
+    lineno = data.draw(st.integers(2 if mutation in _STEP_MUTATIONS else 1, len(lines)))
     record = lines[lineno - 1]
     # (object, key, the name a message gives the key)
     fields = ([(record, "meta", "meta")] + [(record["meta"], key, "meta." + key)
@@ -354,6 +359,19 @@ def test_trace_from_jsonl_returns_the_trace_or_names_path_line_and_field(
         key = name = "block"
         record[key][data.draw(st.integers(0, len(record[key]) - 1))] = data.draw(
             st.sampled_from([-1, trace.n]))
+    elif mutation == "unordered":
+        # a repeated index or a swapped pair, every index still in [0, n)
+        key = name = "block"
+        block = record[key]
+        assume(len(block) > 1)
+        i = data.draw(st.integers(0, len(block) - 2))
+        if data.draw(st.booleans()):
+            block[i + 1] = block[i]
+        else:
+            block[i], block[i + 1] = block[i + 1], block[i]
+    elif mutation == "k_med-range":
+        key = name = "k_med"
+        record[key] = data.draw(st.sampled_from([-1, trace.k]))
     elif mutation == "add-key":
         holder["comment"] = "written by hand"
     text = "".join(json.dumps(line) + "\n" for line in lines)
