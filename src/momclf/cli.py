@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,15 +18,7 @@ import numpy as np
 from momclf import bench, optim
 from momclf._fields import INTEGER, NUMBER, NUMBER_OR_STRING, STRING, fault, read_fields
 from momclf.data import generate_gaussians, generate_moons, generate_toy, load_csv, write_csv
-from momclf.model import (
-    KERNEL_KINDS,
-    KernelSpec,
-    default_gamma,
-    median_heuristic_gamma,
-    model_from_json,
-    model_to_json,
-    predict,
-)
+from momclf.model import KERNEL_KINDS, kernel_for, model_from_json, model_to_json, predict
 from momclf.optim import KERNEL_METHODS, METHODS, StepSchedule, TrainTrace
 from momclf.outlier import (
     detection_metrics,
@@ -37,14 +30,18 @@ from momclf.outlier import (
 
 # argparse names a bad flag value by its type's __name__: no leading underscore
 def bandwidth(value):
-    """An RBF bandwidth: a number, "auto" or "median".  The type of --gamma,
-    which reads the number from its text, and the check of a config's gamma."""
-    if type(value) is not str or value in ("auto", "median"):
+    """An RBF bandwidth: a finite number > 0, "auto" or "median".  The type of
+    --gamma, which reads the number from its text, and the check of a
+    config's gamma."""
+    if value in ("auto", "median"):
         return value
     try:
-        return float(value)
+        gamma = float(value)
     except ValueError:
         raise fault("gamma", 'be a JSON number, "auto" or "median"', value) from None
+    if not 0 < gamma < math.inf:
+        raise fault("gamma", "be finite and > 0", value)
+    return gamma
 
 
 def int_list(raw: str) -> list:
@@ -210,14 +207,8 @@ def _train_options(args) -> dict:
 def _cmd_train(args) -> int:
     opts = _train_options(args)
     ds = load_csv(args.data, args.label_column)
-    kernel = None
-    if opts["algo"] in KERNEL_METHODS:
-        gamma = opts["gamma"] if opts["kernel"] == "rbf" else 1.0
-        if gamma == "auto":
-            gamma = default_gamma(ds.p)
-        elif gamma == "median":
-            gamma = median_heuristic_gamma(ds.X)
-        kernel = KernelSpec(kind=opts["kernel"], gamma=float(gamma))
+    kernel = (kernel_for(ds.X, opts["kernel"], opts["gamma"])
+              if opts["algo"] in KERNEL_METHODS else None)
     model, trace = optim.train(
         opts["algo"], ds, opts["k"], opts["t"],
         StepSchedule(kind=opts["schedule"], eta0=opts["eta0"]),
@@ -234,7 +225,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     with open(args.model, "r", encoding="utf-8") as fh:
-        model = model_from_json(fh.read())
+        try:
+            model = model_from_json(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{args.model}: {exc}") from None
     ds = load_csv(args.data, args.label_column)
     labels = predict(model, ds.X)
     with open(args.output, "w", encoding="utf-8") as fh:

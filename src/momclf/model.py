@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,25 +84,33 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and not self.gamma > 0:
-            raise ValueError("rbf kernel needs gamma > 0")
+        if self.kind == "rbf" and not 0 < self.gamma < math.inf:
+            raise ValueError("rbf kernel needs a finite gamma > 0")
 
 
-def default_gamma(p: int) -> float:
-    """Default RBF bandwidth 1/p."""
-    return 1.0 / p
+def kernel_for(X, kind: str = "rbf", gamma="auto") -> KernelSpec:
+    """The kernel ``kind`` for the points X: the one rule for an RBF
+    bandwidth, which is a number, "auto" (1/p) or "median" (the median
+    heuristic).  A linear kernel has no bandwidth."""
+    if kind != "rbf":
+        return KernelSpec(kind=kind)
+    if gamma == "auto":
+        gamma = 1.0 / np.shape(X)[1]
+    elif gamma == "median":
+        gamma = median_heuristic_gamma(X)
+    return KernelSpec(kind="rbf", gamma=float(gamma))
 
 
-def median_heuristic_gamma(X, max_points: int = 500, seed: int = 0) -> float:
-    """Bandwidth from the median of pairwise squared distances."""
+def median_heuristic_gamma(X) -> float:
+    """Bandwidth from the median of pairwise squared distances, over at most
+    500 points drawn by a generator seeded with 0."""
     # Imported here: scipy.spatial adds tens of milliseconds to every import
-    # of the package, and only the CLI's ``--gamma median`` needs it.
+    # of the package, and only a "median" bandwidth needs it.
     from scipy.spatial.distance import pdist
 
     X = np.asarray(X, dtype=float)
-    if X.shape[0] > max_points:
-        idx = np.random.default_rng(seed).choice(X.shape[0], max_points, replace=False)
-        X = X[idx]
+    if X.shape[0] > 500:
+        X = X[np.random.default_rng(0).choice(X.shape[0], 500, replace=False)]
     med = np.median(pdist(X, "sqeuclidean"))
     return 1.0 / max(med, 1e-12)
 
@@ -336,10 +345,10 @@ _MODEL_FIELDS = {"linear": {"u": FLOATS, "b": NUMBER},
 
 def model_from_json(text: str):
     """Read a ``model_to_json`` file; a kernel model comes back as one block.
-    A missing or malformed field, or an unknown ``format``, raises ValueError
-    naming it."""
-    obj = json.loads(text)
+    Text that is not JSON, a missing or malformed field, or an unknown
+    ``format`` raises ValueError naming it."""
     try:
+        obj = json.loads(text)
         kind = read_fields(obj, {"type": frozenset(_MODEL_FIELDS)}, "file")["type"]
         if obj.get("format") != MODEL_FORMAT:
             found = repr(obj["format"]) if "format" in obj else "missing"
@@ -360,5 +369,7 @@ def model_from_json(text: str):
         m = fields["support"].shape[0]
         return KernelModel(alpha=fields["alpha"], support=fields["support"], kernel=spec,
                            partition=Partition(blocks=np.arange(m)[None, :], n=m))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"model is not JSON ({exc})") from None
     except ValueError as exc:
         raise ValueError(f"model {exc}") from None

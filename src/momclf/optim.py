@@ -41,8 +41,8 @@ from momclf.model import (
     KernelSpec,
     LinearModel,
     block_kernel_matrices,
-    default_gamma,
     gram,
+    kernel_for,
 )
 
 IRLS_WEIGHT_FLOOR = 1e-10  # keeps z and beta / w finite at saturated probabilities
@@ -115,13 +115,14 @@ class MomGdConfig:
 
 @dataclass(frozen=True)
 class FastKlrConfig:
-    """Configuration of the block-kernel logistic-regression engines."""
+    """Configuration of the block-kernel logistic-regression engines.  The
+    kernel has no default here: ``train`` holds the only one."""
 
     k: int
     t: int
+    kernel: KernelSpec
     schedule: StepSchedule = field(default_factory=StepSchedule)
     beta: float = 1e-3
-    kernel: KernelSpec = field(default_factory=KernelSpec)
     seed: int = 0
     record_selections: bool = False
 
@@ -169,14 +170,20 @@ class TrainTrace:
     @classmethod
     def from_jsonl(cls, path) -> "TrainTrace":
         """Read a trace written by :meth:`to_jsonl`: its meta line, then one
-        record a step.  A malformed line, a block that is not ``block_size``
-        ascending indices in [0, n) or a ``k_med`` outside [0, k) raises
+        record a step.  A malformed line, a meta line whose ``k`` lies outside
+        [1, n] or whose ``block_size`` is not n // k, a block that is not
+        ``block_size`` ascending indices in [0, n), a ``k_med`` outside
+        [0, k), or a record count that is neither 0 nor ``t`` raises
         ValueError naming the path, the line's 1-based number and any field."""
         steps, lineno = [], 1
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 meta = read_fields(_decode(fh.readline()), _META_LINE, "record")["meta"]
                 n, k, size = meta["n"], meta["k"], meta["block_size"]
+                if not 1 <= k <= n:
+                    raise fault("meta.k", f"lie in [1, n={n}]", k)
+                if size != n // k:
+                    raise fault("meta.block_size", f"be n // k = {n // k}", size)
                 for lineno, line in enumerate(fh, start=2):
                     obj = _decode(line)
                     rec = read_fields(obj, _STEP_FIELDS, "record")
@@ -188,6 +195,10 @@ class TrainTrace:
                     if not 0 <= rec["k_med"] < k:
                         raise fault("k_med", f"lie in [0, {k})", rec["k_med"])
                     steps.append(IterationRecord(**rec))
+                if len(steps) not in (0, meta["t"]):
+                    lineno = 1
+                    raise fault("meta.t", "equal the number of step records "
+                                f"({len(steps)})", meta["t"])
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: line {lineno}: not JSON "
                                  f"({exc.msg})") from None
@@ -499,7 +510,7 @@ def train(method: str, ds: Dataset, k: int, t: int, schedule: StepSchedule,
     """Train one of ``METHODS`` on ``ds`` from zero parameters.
 
     The linear MOM methods use ``gradient_mode``, the kernel methods
-    ``beta`` and ``kernel`` (default: RBF of bandwidth ``default_gamma(p)``).
+    ``beta`` and ``kernel`` (default: ``kernel_for(ds.X)``, RBF of bandwidth 1/p).
     ERM is MOM-logistic at K=1 in block-mean form, so it ignores ``k`` and
     ``gradient_mode``.  A constant step warns only for MOM at K > 1.
     Returns (model, trace).
@@ -516,10 +527,8 @@ def train(method: str, ds: Dataset, k: int, t: int, schedule: StepSchedule,
                           gradient_mode=gradient_mode)
         return mom_gd_train(ds, LinearModel.zeros(ds.p), cfg)
     if method in KERNEL_METHODS:
-        if kernel is None:
-            kernel = KernelSpec(kind="rbf", gamma=default_gamma(ds.p))
         cfg = FastKlrConfig(k=k, t=t, schedule=schedule, beta=beta,
-                            kernel=kernel, seed=seed,
+                            kernel=kernel or kernel_for(ds.X), seed=seed,
                             record_selections=record_selections)
         engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
         return engine(ds, cfg)

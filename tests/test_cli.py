@@ -113,7 +113,7 @@ def test_outlier_scores_reports_a_malformed_trace_line(tmp_path, capsys):
     capsys.readouterr()
     assert main(["outlier-scores", "--trace", str(trace),
                  "--output", str(tmp_path / "s.csv")]) == 1
-    assert "line 2: field 'k_med' is missing" in capsys.readouterr().err
+    assert f"{trace}: line 2: field 'k_med' is missing" in capsys.readouterr().err
 
 
 def test_outlier_scores_rejects_a_trace_block_of_non_integers(tmp_path, capsys):
@@ -209,7 +209,7 @@ def test_predict_rejects_a_model_file_without_format(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--model", str(model), "--data", str(data),
                  "--output", str(tmp_path / "p.csv")]) == 1
-    assert "'format' is missing" in capsys.readouterr().err
+    assert f"error: {model}: model field 'format' is missing" in capsys.readouterr().err
 
 
 def test_predict_names_a_missing_model_field(tmp_path, capsys):
@@ -223,7 +223,7 @@ def test_predict_names_a_missing_model_field(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--model", str(model), "--data", str(data),
                  "--output", str(tmp_path / "p.csv")]) == 1
-    assert "model field 'support' is missing" in capsys.readouterr().err
+    assert f"error: {model}: model field 'support' is missing" in capsys.readouterr().err
 
 
 def test_predict_names_a_model_field_of_the_wrong_type(tmp_path, capsys):
@@ -236,7 +236,8 @@ def test_predict_names_a_model_field_of_the_wrong_type(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--model", str(model), "--data", str(data),
                  "--output", str(tmp_path / "p.csv")]) == 1
-    assert "model field 'kernel' must be a JSON object" in capsys.readouterr().err
+    assert (f"error: {model}: model field 'kernel' must be a JSON object"
+            in capsys.readouterr().err)
 
 
 def test_predict_names_a_non_numeric_kernel_gamma(tmp_path, capsys):
@@ -250,7 +251,74 @@ def test_predict_names_a_non_numeric_kernel_gamma(tmp_path, capsys):
     capsys.readouterr()
     assert main(["predict", "--model", str(model), "--data", str(data),
                  "--output", str(tmp_path / "p.csv")]) == 1
-    assert "model field 'kernel.gamma' must be a JSON number" in capsys.readouterr().err
+    assert (f"error: {model}: model field 'kernel.gamma' must be a JSON number"
+            in capsys.readouterr().err)
+
+
+_META = '{"meta": {"n": 4, "k": 2, "t": 1, "block_size": 2, "final_objective": 0.5}}\n'
+_STEP = '{"t": 0, "partition_seed": 1, "k_med": 0, "block": [0, 1], "objective": 0.5}\n'
+_KERNEL = ('{"type": "kernel", "format": 2, "kernel": {"kind": "rbf", "gamma": %s}, '
+           '"alpha": [1.0], "support": %s}')
+
+
+# (command, flag, file text, message): with the tests above, one bad file per
+# mutation of each reader; the bad config files are the cases of the config test
+@pytest.mark.parametrize("command, flag, text, message", [
+    ("predict", "--model", "{", "model is not JSON (Expecting property name"),
+    ("predict", "--model", _KERNEL % ("1.0", "[0.0, 0.0]"),
+     "model field 'support' must be a 2-d array"),
+    ("predict", "--model", _KERNEL % ("NaN", "[[0.0, 0.0]]"),
+     "model field 'kernel.gamma' must hold finite JSON numbers"),
+    ("predict", "--model", _KERNEL % ("0", "[[0.0, 0.0]]"),
+     "model field 'kernel.gamma' must be > 0 for an rbf kernel"),
+    ("outlier-scores", "--trace", _META + _STEP[:-5], "line 2: not JSON"),
+    ("outlier-scores", "--trace", _META + _STEP.replace('"t": 0', '"t": "0"'),
+     "line 2: field 't' must be a JSON integer"),
+    ("outlier-scores", "--trace", _META + _STEP.replace("0.5", "NaN"),
+     "line 2: field 'objective' must hold finite JSON numbers"),
+    # n=10, k=2, block_size 3: the counts used to total 3, not T (n // K) = 5
+    ("outlier-scores", "--trace",
+     _META.replace('"n": 4', '"n": 10').replace('"block_size": 2', '"block_size": 3')
+     + _STEP.replace("[0, 1]", "[0, 1, 2]"),
+     "line 1: field 'meta.block_size' must be n // k = 5, got 3"),
+    # k=5 > n=2 used to load
+    ("outlier-scores", "--trace",
+     _META.replace('"n": 4', '"n": 2').replace('"k": 2', '"k": 5')
+     .replace('"block_size": 2', '"block_size": 0') + _STEP.replace("[0, 1]", "[]"),
+     "line 1: field 'meta.k' must lie in [1, n=2], got 5"),
+    # t=5 with one record: the counts used to total 2, not 10
+    ("outlier-scores", "--trace", _META.replace('"t": 1', '"t": 5') + _STEP,
+     "line 1: field 'meta.t' must equal the number of step records (1), got 5"),
+], ids=["model-not-json", "model-reshape", "model-non-finite", "model-gamma-zero",
+        "trace-not-json", "trace-retype", "trace-non-finite", "trace-block-size",
+        "trace-k-beyond-n", "trace-t-not-records"])
+def test_a_bad_model_or_trace_exits_1_naming_its_path(tmp_path, capsys, command,
+                                                     flag, text, message):
+    data = tmp_path / "d.csv"
+    data.write_text("x0,x1,y\n0.5,0.1,1\n-0.5,0.2,-1\n")
+    bad = tmp_path / ("m.json" if command == "predict" else "t.jsonl")
+    bad.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main([command, flag, str(bad), "--data", str(data),
+                 "--output", str(out)]) == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_label_column_by_index_name_and_negative_index(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,label,is_outlier\n" + "".join(
+        f"{x:.3f},{x * x:.3f},{int(x > 0.1)},{int(abs(x) > 0.9)}\n"
+        for x in np.random.default_rng(4).uniform(-1, 1, 24)))
+    models = []
+    for column in ("2", "label", "-2"):
+        models.append(tmp_path / f"m{len(models)}.json")
+        assert main(["train", "--algo", "mom-logistic", "--k", "4", "--t", "20",
+                     "--label-column", column, "--data", str(data),
+                     "--model", str(models[-1])]) == 0
+    texts = [m.read_bytes() for m in models]
+    assert texts[0] == texts[1] == texts[2]
+    assert len(json.loads(texts[0])["u"]) == 2
 
 
 def test_runtime_error_exit_code(tmp_path, capsys):
@@ -309,7 +377,7 @@ def test_train_linear_algo_never_resolves_gamma(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("gamma resolved for a linear model")
 
-    monkeypatch.setattr("momclf.cli.median_heuristic_gamma", refuse)
+    monkeypatch.setattr("momclf.model.median_heuristic_gamma", refuse)
     data = tmp_path / "d.csv"
     main(["generate", "--kind", "toy", "--inliers", "40", "--outliers", "2",
           "--seed", "1", "--output", str(data)])
@@ -353,8 +421,10 @@ def test_train_config_file_with_flag_override(tmp_path):
     ('{"seed": null}', "config field 'seed' must be a JSON integer, got null"),
     ('{"bogus": 1}', "config has unknown keys ['bogus']"),
     ("{", "config is not JSON (Expecting property name"),
+    ('{"gamma": "inf"}', "config field 'gamma' must be finite and > 0, got \"inf\""),
+    ('{"gamma": 0}', "config field 'gamma' must be finite and > 0, got 0"),
 ], ids=["k-string", "t-float", "list", "gamma-bool", "gamma-word", "eta0-nan",
-        "seed-null", "unknown-key", "not-json"])
+        "seed-null", "unknown-key", "not-json", "gamma-inf", "gamma-zero"])
 def test_train_config_names_the_path_and_key_of_a_bad_value(tmp_path, capsys,
                                                            config, message):
     data = tmp_path / "d.csv"
@@ -370,19 +440,24 @@ def test_train_config_names_the_path_and_key_of_a_bad_value(tmp_path, capsys,
     assert not model.exists()
 
 
-_OUT_OF_SET = {"algo": "svm", "schedule": "cosine", "gradient_mode": "bogus",
-               "kernel": "poly", "gamma": "wide"}
+# one out-of-set value per option, then each bandwidth that is not a finite
+# number > 0
+_OUT_OF_SET = [pytest.param(name, value, id=name) for name, value in (
+    ("algo", "svm"), ("schedule", "cosine"), ("gradient_mode", "bogus"),
+    ("kernel", "poly"), ("gamma", "wide"))] + [
+    pytest.param("gamma", value, id=f"gamma={value}")
+    for value in ("inf", "nan", "1e400", 0, -1)]
 
 
 @pytest.mark.parametrize("algo", ["mom-logistic", "fast-klr-mom"])
-@pytest.mark.parametrize("name", list(_OUT_OF_SET))
+@pytest.mark.parametrize("name, value", _OUT_OF_SET)
 def test_train_refuses_an_out_of_set_value_as_flag_and_as_config(tmp_path, capsys,
-                                                                 name, algo):
+                                                                 name, value, algo):
     # refused whatever the algo, even where the engine would ignore the option
     data = tmp_path / "d.csv"
     main(["generate", "--kind", "toy", "--inliers", "20", "--outliers", "2",
           "--seed", "1", "--output", str(data)])
-    opts = {"algo": algo, "k": 2, "t": 5, name: _OUT_OF_SET[name]}
+    opts = {"algo": algo, "k": 2, "t": 5, name: value}
     model = tmp_path / "m.json"
     flags = [text for key, value in opts.items()
              for text in (f"--{key.replace('_', '-')}", str(value))]

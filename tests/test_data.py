@@ -221,6 +221,16 @@ def test_csv_label_column_by_name_and_index(tmp_path):
         load_csv(path, "missing")
 
 
+def test_load_csv_default_label_precedes_a_trailing_is_outlier(tmp_path):
+    # no "y" column: the label is the column before is_outlier, not the last
+    path = tmp_path / "flags.csv"
+    path.write_text("a,b,label,is_outlier\n1,2,1,0\n3,4,0,1\n")
+    ds = load_csv(path)
+    assert np.array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ds.y, [1.0, -1.0])
+    assert np.array_equal(ds.is_outlier, [False, True])
+
+
 def test_equipartition_shapes_and_drop():
     rng = np.random.default_rng(0)
     part = random_equipartition(10, 3, rng)

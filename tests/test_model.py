@@ -15,9 +15,9 @@ from momclf.model import (
     KernelSpec,
     LinearModel,
     block_kernel_matrices,
-    default_gamma,
     gram,
     kernel_eval,
+    kernel_for,
     kernel_model_score,
     _TILE_ENTRIES,
     linear_score,
@@ -78,7 +78,27 @@ def test_kernel_spec_validation():
         KernelSpec(kind="poly")
     with pytest.raises(ValueError):
         KernelSpec(kind="rbf", gamma=0.0)
-    assert default_gamma(4) == 0.25
+    assert kernel_for(np.zeros((1, 4))).gamma == 0.25
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0],
+                         ids=["inf", "nan", "zero", "negative"])
+def test_kernel_spec_refuses_an_rbf_gamma_that_is_not_finite_and_positive(gamma):
+    with pytest.raises(ValueError, match="rbf kernel needs a finite gamma > 0"):
+        KernelSpec(kind="rbf", gamma=gamma)
+
+
+def test_kernel_for_resolves_each_bandwidth_once():
+    X = np.random.default_rng(3).standard_normal((30, 4))
+    assert kernel_for(X) == KernelSpec(kind="rbf", gamma=0.25)
+    assert kernel_for(X, "rbf", "median") == KernelSpec(
+        kind="rbf", gamma=median_heuristic_gamma(X))
+    assert kernel_for(X, "rbf", 2) == KernelSpec(kind="rbf", gamma=2.0)
+    # a linear kernel has no bandwidth, so none is resolved or checked
+    for gamma in ("auto", "median", 0.0):
+        assert kernel_for(X, "linear", gamma) == KernelSpec(kind="linear")
+    with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
+        kernel_for(X, "poly")
 
 
 def test_rbf_gram_is_psd():

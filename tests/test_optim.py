@@ -27,10 +27,13 @@ from momclf.model import (
     LinearModel,
     block_kernel_matrices,
     gram,
+    kernel_for,
+    model_to_json,
     record_gram_calls,
 )
 from momclf.optim import (
     IRLS_WEIGHT_FLOOR,
+    KERNEL_METHODS,
     METHODS,
     FastKlrConfig,
     IterationRecord,
@@ -83,7 +86,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MomGdConfig(k=3, t=10, loss=LossKind.ZERO_ONE)
     with pytest.raises(ValueError):
-        FastKlrConfig(k=3, t=10, beta=0.0)
+        FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), beta=0.0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        FastKlrConfig(k=0, t=10, kernel=KernelSpec(kind="linear"))
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        FastKlrConfig(k=3, t=0, kernel=KernelSpec(kind="linear"))
+    # the engines' config has no default kernel: train holds the only one
+    with pytest.raises(TypeError, match="kernel"):
+        FastKlrConfig(k=3, t=10)
 
 
 def test_mom_gd_k_exceeding_n_rejected():
@@ -246,13 +256,23 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
        f"line 3: field 'k_med' must lie in [0, 6), got {k_med}") for k_med in (6, -1)],
     (1, '{"t": 0, "partition_seed": 1, "k_med": 0, "block": [0], '
         '"objective": 0.5}', "line 1: field 'meta' is missing"),
+    *[(1, '{"meta": {"n": 42, "k": %d, "t": 2, "block_size": 7, '
+          '"final_objective": 0.5}}' % k,
+       f"line 1: field 'meta.k' must lie in [1, n=42], got {k}") for k in (43, 0)],
+    (1, '{"meta": {"n": 42, "k": 6, "t": 2, "block_size": 3, "final_objective": 0.5}}',
+     "line 1: field 'meta.block_size' must be n // k = 7, got 3"),
+    *[(1, '{"meta": {"n": 42, "k": 6, "t": %d, "block_size": 7, '
+          '"final_objective": 0.5}}' % t,
+       f"line 1: field 'meta.t' must equal the number of step records (2), got {t}")
+      for t in (5, 1)],
 ], ids=["step-field", "meta-field", "not-json", "not-object",
         "block-floats", "block-2d", "block-ragged", "block-string", "block-bools",
         "block-scalar", "block-overflow", "t-string", "seed-float", "k_med-bool",
         "objective-string", "meta-n-float", "meta-objective-null",
         "block-negative", "block-beyond-n", "block-short", "block-long",
         "block-empty", "block-repeated", "block-descending", "k_med-beyond-k",
-        "k_med-negative", "meta-not-first"])
+        "k_med-negative", "meta-not-first", "meta-k-beyond-n", "meta-k-zero",
+        "meta-block-size", "meta-t-above-records", "meta-t-below-records"])
 def test_trace_from_jsonl_names_path_line_and_field(tmp_path, lineno, bad_line,
                                                     message):
     ds = generate_toy(40, 2, 7)
@@ -316,7 +336,7 @@ def _same_trace(a, b):
 
 _WRONG_TYPES = ["x", True, None, {}, [True], 1.5]
 _MUTATIONS = ["none", "drop", "retype", "reshape", "non-finite", "out-of-range",
-              "unordered", "k_med-range", "truncate", "add-key"]
+              "unordered", "k_med-range", "meta-contradiction", "truncate", "add-key"]
 _STEP_MUTATIONS = ("reshape", "out-of-range", "unordered", "k_med-range")
 
 
@@ -372,6 +392,15 @@ def test_trace_from_jsonl_returns_the_trace_or_names_path_line_and_field(
     elif mutation == "k_med-range":
         key = name = "k_med"
         record[key] = data.draw(st.sampled_from([-1, trace.k]))
+    elif mutation == "meta-contradiction":
+        # k outside [1, n], a block size other than n // k, or a t other
+        # than the number of records
+        lineno, meta = 1, lines[0]["meta"]
+        key = data.draw(st.sampled_from(["k", "block_size", "t"]))
+        name = "meta." + key
+        meta[key] = data.draw(st.sampled_from({"k": [0, trace.n + 1],
+                                               "block_size": [trace.block_size + 1],
+                                               "t": [0, trace.t + 1]}[key]))
     elif mutation == "add-key":
         holder["comment"] = "written by hand"
     text = "".join(json.dumps(line) + "\n" for line in lines)
@@ -460,6 +489,20 @@ def test_train_equals_the_direct_engine_call(method):
         assert (rec.partition_seed, rec.k_med, rec.objective) == \
             (ref.partition_seed, ref.k_med, ref.objective)
         assert np.array_equal(rec.block, ref.block)
+
+
+@pytest.mark.parametrize("method", KERNEL_METHODS)
+def test_train_default_kernel_is_kernel_for_the_data(method):
+    ds, schedule = generate_gaussians(200, 3), StepSchedule()
+    model, trace = train(method, ds, 5, 10, schedule, seed=1, record_selections=True)
+    engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
+    direct, direct_trace = engine(ds, FastKlrConfig(
+        k=5, t=10, kernel=kernel_for(ds.X), schedule=schedule, seed=1,
+        record_selections=True))
+    assert model.kernel == direct.kernel == KernelSpec(kind="rbf", gamma=0.5)
+    assert model.alpha.tobytes() == direct.alpha.tobytes()
+    assert model_to_json(model) == model_to_json(direct)
+    assert trace.final_objective == direct_trace.final_objective
 
 
 def test_k1_draws_its_one_partition_once(monkeypatch):
