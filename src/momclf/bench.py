@@ -10,6 +10,7 @@ could equally be produced in parallel.
 
 from __future__ import annotations
 
+import csv
 import json
 import time
 import warnings
@@ -21,7 +22,7 @@ from scipy.special import expit
 from momclf.data import Dataset, generate_gaussians, generate_moons, generate_toy
 from momclf.losses import LossKind, loss_grad_score, loss_value
 from momclf.model import LinearModel, linear_score, predict
-from momclf.optim import KERNEL_METHODS, METHODS, NumericError, StepSchedule, train
+from momclf.optim import KERNEL_METHODS, METHODS, NumericError, train
 
 TOY_TEST_SIZE = 500
 RATE_TEST_SIZE = 1_000_000
@@ -64,10 +65,11 @@ class ExperimentReport:
         if not self.records:
             raise ValueError("no records to write")
         cols = sorted({k for rec in self.records for k in rec})
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for rec in self.records:
-                fh.write(",".join(str(rec.get(c, "")) for c in cols) + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(cols)
+            # str() keeps each cell's text, None included
+            out.writerows([str(rec.get(c, "")) for c in cols] for rec in self.records)
 
 
 def accuracy(model, test: Dataset) -> float:
@@ -128,7 +130,6 @@ def _toy_runs(report: ExperimentReport, cells, n_runs: int, master_seed: int,
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    schedule = StepSchedule(kind="inverse-t", eta0=eta0)
     for r in range(n_runs):
         train_set = generate_toy(n_inliers, n_outliers,
                                  derive_seed(master_seed, r, 0))
@@ -136,7 +137,7 @@ def _toy_runs(report: ExperimentReport, cells, n_runs: int, master_seed: int,
         for j, (label, method, k) in enumerate(cells):
             t0 = time.perf_counter()
             try:
-                model, _ = train(method, train_set, k, t, schedule,
+                model, _ = train(method, train_set, k, t, eta0=eta0,
                                  seed=derive_seed(master_seed, r, 2 + j))
                 acc, err = accuracy(model, test), None
             except Exception as exc:  # recorded per run, not fatal to the report
@@ -262,7 +263,6 @@ def run_rate_experiment(dataset_kind: str, n_values=RATE_GRID,
         raise ValueError("n_values must be strictly increasing with >= 4 points")
     gen = _rate_generator(dataset_kind)
     config = RATE_CONFIG[dataset_kind]
-    schedule = StepSchedule(kind="inverse-t", eta0=config["eta0"])
     report = ExperimentReport(name=f"rates-{dataset_kind}")
     # derive_seed pads short paths with zeros, so the first path element,
     # not the path length, keeps the three streams apart
@@ -274,8 +274,8 @@ def run_rate_experiment(dataset_kind: str, n_values=RATE_GRID,
         for r in range(n_runs):
             train_set = gen(n, derive_seed(master_seed, 1, n, r))
             model, _ = train("mom-logistic", train_set,
-                             min(config["k"], train_set.n // 2), t, schedule,
-                             seed=derive_seed(master_seed, 2, n, r),
+                             min(config["k"], train_set.n // 2), t,
+                             eta0=config["eta0"], seed=derive_seed(master_seed, 2, n, r),
                              gradient_mode=config["gradient_mode"])
             excess = logistic_risk(model, test) - reference_risk
             excesses.append(excess)
@@ -312,13 +312,12 @@ def run_timing_probe(algorithms, n: int, master_seed: int = 0, k: int = 20,
     report = ExperimentReport(name="timing")
     train_set = generate_gaussians(n, derive_seed(master_seed, 0))
     test = generate_gaussians(n, derive_seed(master_seed, 1))
-    schedule = StepSchedule(kind="inverse-t", eta0=0.5)
     times = {}
     for name in algorithms:
         t_steps = t_kernel if name in KERNEL_METHODS else t_linear
         for rep in (2, 3):  # the first run is a discarded warm-up
             t0 = time.perf_counter()
-            model, _ = train(name, train_set, k, t_steps, schedule,
+            model, _ = train(name, train_set, k, t_steps,
                              seed=derive_seed(master_seed, rep))
             predict(model, test.X)
             elapsed = time.perf_counter() - t0

@@ -18,8 +18,8 @@ import numpy as np
 from momclf import bench, optim
 from momclf._fields import INTEGER, NUMBER, NUMBER_OR_STRING, STRING, fault, read_fields
 from momclf.data import generate_gaussians, generate_moons, generate_toy, load_csv, write_csv
-from momclf.model import KERNEL_KINDS, kernel_for, model_from_json, model_to_json, predict
-from momclf.optim import KERNEL_METHODS, METHODS, StepSchedule, TrainTrace
+from momclf.model import KERNEL_KINDS, model_from_json, model_to_json, predict
+from momclf.optim import METHODS, TrainTrace
 from momclf.outlier import (
     detection_metrics,
     flag_outliers,
@@ -44,6 +44,15 @@ def bandwidth(value):
     return gamma
 
 
+def seed(value):
+    """A seed: an integer >= 0.  The type of every --seed, which reads the
+    integer from its text, and the check of a config's seed."""
+    number = int(value)
+    if number < 0:
+        raise fault("seed", "be >= 0", value)
+    return number
+
+
 def int_list(raw: str) -> list:
     return [int(v) for v in raw.split(",") if v.strip()]
 
@@ -55,24 +64,25 @@ def _label_column(raw: str):
         return raw
 
 
-# Each option of ``train`` once: {name: (JSON kind, default, flag type, allowed
-# values, help)}.  Its flag is --name with "-" for "_", its config key the name.
+# Each option of ``train`` once: {name: (JSON kind, flag type, allowed values,
+# help)}.  Its flag is --name with "-" for "_", its config key the name and its
+# default that of ``optim.train``'s parameter of the same name.
 TRAIN_OPTIONS = {
-    "algo": (STRING, None, str, METHODS, None),
-    "k": (INTEGER, 120, int, None, "number of blocks"),
-    "t": (INTEGER, 2000, int, None, "iterations"),
-    "eta0": (NUMBER, 0.5, float, None, None),
-    "schedule": (STRING, "inverse-t", str, optim.SCHEDULE_KINDS, None),
-    "gradient_mode": (STRING, "sum", str, optim.GRADIENT_MODES,
+    "algo": (STRING, str, METHODS, None),
+    "k": (INTEGER, int, None, "number of blocks"),
+    "t": (INTEGER, int, None, "iterations"),
+    "eta0": (NUMBER, float, None, None),
+    "schedule": (STRING, str, optim.SCHEDULE_KINDS, None),
+    "gradient_mode": (STRING, str, optim.GRADIENT_MODES,
                       "block-sum update (literal) or mean form"),
-    "beta": (NUMBER, 1e-3, float, None, "kernel engines: regularization strength"),
-    "kernel": (STRING, "rbf", str, KERNEL_KINDS, None),
-    "gamma": (NUMBER_OR_STRING, "auto", bandwidth, None, "rbf bandwidth: positive "
+    "beta": (NUMBER, float, None, "kernel engines: regularization strength"),
+    "kernel": (STRING, str, KERNEL_KINDS, None),
+    "gamma": (NUMBER_OR_STRING, bandwidth, None, "rbf bandwidth: positive "
               "float, 'auto' (1/p) or 'median' (median heuristic)"),
-    "seed": (INTEGER, 0, int, None, None),
+    "seed": (INTEGER, seed, None, None),
 }
 _CONFIG_FIELDS = {name: frozenset(allowed) if allowed else kind
-                  for name, (kind, _, _, allowed, _) in TRAIN_OPTIONS.items()}
+                  for name, (kind, _, allowed, _) in TRAIN_OPTIONS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # the options of every subcommand that writes one file from a seed
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--seed", type=seed, default=0)
     seeded.add_argument("--output", required=True)
 
     gen = sub.add_parser("generate", parents=[seeded],
@@ -105,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--data", required=True)
     train.add_argument("--label-column", type=_label_column,
                        help="label column name or 0-based index")
-    # each defaults to None, "not given", so that the config or TRAIN_OPTIONS applies
-    for name, (_, _, flag_type, allowed, text) in TRAIN_OPTIONS.items():
+    # each defaults to None, "not given", so that the config or optim.train applies
+    for name, (_, flag_type, allowed, text) in TRAIN_OPTIONS.items():
         train.add_argument("--" + name.replace("_", "-"), type=flag_type,
                            choices=allowed, help=text)
     train.add_argument("--model", required=True, help="output model JSON path")
@@ -184,39 +194,38 @@ def _cmd_generate(args) -> int:
 
 
 def _train_options(args) -> dict:
-    """Merge the defaults of TRAIN_OPTIONS, the optional JSON config, and
-    explicit flags (flags win)."""
-    opts = {name: option[1] for name, option in TRAIN_OPTIONS.items()}
+    """The options the optional JSON config and explicit flags set (flags
+    win); ``optim.train`` holds the default of every other one."""
+    opts = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-                opts.update(read_fields(loaded, _CONFIG_FIELDS, "file", partial=True))
-                if set(loaded) - set(opts):
-                    raise ValueError(f"has unknown keys {sorted(set(loaded) - set(opts))}")
-                opts["gamma"] = bandwidth(opts["gamma"])
+                opts = read_fields(loaded, _CONFIG_FIELDS, "file", partial=True)
+                unknown = sorted(set(loaded) - set(TRAIN_OPTIONS))
+                if unknown:
+                    raise ValueError(f"has unknown keys {unknown}")
+                for name, check in (("gamma", bandwidth), ("seed", seed)):
+                    if name in opts:
+                        opts[name] = check(opts[name])
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.config}: config is not JSON ({exc})") from None
             except ValueError as exc:
                 raise ValueError(f"{args.config}: config {exc}") from None
-    opts.update({key: getattr(args, key) for key in opts
+    opts.update({key: getattr(args, key) for key in TRAIN_OPTIONS
                  if getattr(args, key) is not None})
     return opts
 
 
 def _cmd_train(args) -> int:
     opts = _train_options(args)
+    algo = opts.pop("algo", None)
     ds = load_csv(args.data, args.label_column)
-    kernel = (kernel_for(ds.X, opts["kernel"], opts["gamma"])
-              if opts["algo"] in KERNEL_METHODS else None)
-    model, trace = optim.train(
-        opts["algo"], ds, opts["k"], opts["t"],
-        StepSchedule(kind=opts["schedule"], eta0=opts["eta0"]),
-        seed=opts["seed"], record_selections=args.trace is not None,
-        gradient_mode=opts["gradient_mode"], beta=opts["beta"], kernel=kernel)
+    model, trace = optim.train(algo, ds, record_selections=args.trace is not None,
+                               **opts)
     with open(args.model, "w", encoding="utf-8") as fh:
         fh.write(model_to_json(model))
-    print(f"trained {opts['algo']} on {ds.n} samples -> {args.model}")
+    print(f"trained {algo} on {ds.n} samples -> {args.model}")
     if args.trace is not None:
         trace.to_jsonl(args.trace)
         print(f"trace -> {args.trace}")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 import warnings
 from dataclasses import dataclass, field
@@ -76,6 +77,8 @@ class StepSchedule:
         if self.kind == "constant" and self.eta0 < 0:
             # a zero constant step (frozen updates) is a legitimate diagnostic
             raise ValueError("eta0 must be non-negative")
+        if not self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be finite, got {self.eta0}")
 
     def rate(self, t: int) -> float:
         if self.kind == "constant":
@@ -107,6 +110,8 @@ class MomGdConfig:
             raise ValueError("k must be >= 1")
         if self.t < 1:
             raise ValueError("t must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
         if self.loss is LossKind.ZERO_ONE:
@@ -131,8 +136,12 @@ class FastKlrConfig:
             raise ValueError("k must be >= 1")
         if self.t < 1:
             raise ValueError("t must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.beta > 0:
             raise ValueError("beta must be positive")
+        if not self.beta < math.inf:
+            raise ValueError(f"beta must be finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -173,8 +182,10 @@ class TrainTrace:
         record a step.  A malformed line, a meta line whose ``k`` lies outside
         [1, n] or whose ``block_size`` is not n // k, a block that is not
         ``block_size`` ascending indices in [0, n), a ``k_med`` outside
-        [0, k), or a record count that is neither 0 nor ``t`` raises
-        ValueError naming the path, the line's 1-based number and any field."""
+        [0, k), a ``t`` other than the record's position, a
+        ``partition_seed`` outside [0, 2**63), or a record count that is
+        neither 0 nor ``t`` raises ValueError naming the path, the line's
+        1-based number and any field."""
         steps, lineno = [], 1
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -194,6 +205,12 @@ class TrainTrace:
                                     block)
                     if not 0 <= rec["k_med"] < k:
                         raise fault("k_med", f"lie in [0, {k})", rec["k_med"])
+                    if rec["t"] != lineno - 2:
+                        raise fault("t", f"be the record's position {lineno - 2}",
+                                    rec["t"])
+                    if not 0 <= rec["partition_seed"] < _SEED_BOUND:
+                        raise fault("partition_seed", "lie in [0, 2**63)",
+                                    rec["partition_seed"])
                     steps.append(IterationRecord(**rec))
                 if len(steps) not in (0, meta["t"]):
                     lineno = 1
@@ -503,18 +520,21 @@ KERNEL_METHODS = ("fast-klr-mom", "klr-mom")
 METHODS = ("mom-logistic", "mom-hinge", "erm-logistic") + KERNEL_METHODS
 
 
-def train(method: str, ds: Dataset, k: int, t: int, schedule: StepSchedule,
-          seed: int = 0, record_selections: bool = False,
-          gradient_mode: str = "sum", beta: float = 1e-3,
-          kernel: KernelSpec | None = None):
+def train(method: str, ds: Dataset, k: int = 120, t: int = 2000, *,
+          eta0: float = 0.5, schedule: str = "inverse-t",
+          gradient_mode: str = "sum", beta: float = 1e-3, kernel: str = "rbf",
+          gamma="auto", seed: int = 0, record_selections: bool = False):
     """Train one of ``METHODS`` on ``ds`` from zero parameters.
 
-    The linear MOM methods use ``gradient_mode``, the kernel methods
-    ``beta`` and ``kernel`` (default: ``kernel_for(ds.X)``, RBF of bandwidth 1/p).
-    ERM is MOM-logistic at K=1 in block-mean form, so it ignores ``k`` and
-    ``gradient_mode``.  A constant step warns only for MOM at K > 1.
-    Returns (model, trace).
+    The options are those of ``momclf train``, under the same names, and
+    these defaults are theirs.  ``schedule`` and ``eta0`` make the
+    ``StepSchedule``.  The linear MOM methods use ``gradient_mode``; the
+    kernel methods use ``beta`` and the kernel ``kernel_for(ds.X, kernel,
+    gamma)``.  ERM is MOM-logistic at K=1 in block-mean form, so it ignores
+    ``k`` and ``gradient_mode``.  A constant step warns only for MOM at
+    K > 1.  Returns (model, trace).
     """
+    schedule = StepSchedule(kind=schedule, eta0=eta0)
     if method in ("mom-logistic", "mom-hinge", "erm-logistic"):
         if method == "erm-logistic":
             k, gradient_mode = 1, "mean"
@@ -528,7 +548,7 @@ def train(method: str, ds: Dataset, k: int, t: int, schedule: StepSchedule,
         return mom_gd_train(ds, LinearModel.zeros(ds.p), cfg)
     if method in KERNEL_METHODS:
         cfg = FastKlrConfig(k=k, t=t, schedule=schedule, beta=beta,
-                            kernel=kernel or kernel_for(ds.X), seed=seed,
+                            kernel=kernel_for(ds.X, kernel, gamma), seed=seed,
                             record_selections=record_selections)
         engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
         return engine(ds, cfg)

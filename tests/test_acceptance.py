@@ -140,7 +140,7 @@ def test_criterion_4_k1_equals_erm():
     worst = 0.0
     for step in range(1, 201):
         erm = _full_batch_descent(ds, step, schedule)
-        mom, _ = train("erm-logistic", ds, 1, step, schedule)
+        mom, _ = train("erm-logistic", ds, 1, step, eta0=0.4)
         params_e = np.r_[erm.u, erm.b]
         params_m = np.r_[mom.u, mom.b]
         denom = np.maximum(np.abs(params_e), 1e-300)

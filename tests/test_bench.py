@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ from momclf.bench import (
 )
 from momclf.data import Dataset, generate_gaussians, generate_moons, generate_toy
 from momclf.model import LinearModel
-from momclf.optim import NumericError, StepSchedule, train
+from momclf.optim import NumericError, train
 
 
 def confusion_accuracy_oracle(model, test):
@@ -81,8 +82,7 @@ def test_fit_loglog_drops_non_positive_with_warning():
 def test_logistic_risk_minimizer_beats_gradient_descent():
     ds = generate_moons(400, 0.3, 4)
     best = logistic_risk_minimizer(ds)
-    descent, _ = train("erm-logistic", ds, 1, 2000,
-                       StepSchedule(kind="constant", eta0=2.0))
+    descent, _ = train("erm-logistic", ds, 1, 2000, eta0=2.0, schedule="constant")
     assert logistic_risk(best, ds) <= logistic_risk(descent, ds)
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -119,8 +119,7 @@ def test_rate_records_are_mom_logistic_trained_with_derived_seeds():
     cfg = RATE_CONFIG["gaussians"]
     for rec, n in zip(report.records, grid):
         model, _ = train("mom-logistic", generate_gaussians(n, derive_seed(4, 1, n, 0)),
-                         cfg["k"], t, StepSchedule("inverse-t", cfg["eta0"]),
-                         seed=derive_seed(4, 2, n, 0),
+                         cfg["k"], t, eta0=cfg["eta0"], seed=derive_seed(4, 2, n, 0),
                          gradient_mode=cfg["gradient_mode"])
         assert rec["excess_risk"] == logistic_risk(model, test) - reference
 
@@ -169,7 +168,7 @@ def test_toy_runs_record_each_cell_trained_with_its_derived_seed():
         _, method, k = cells[j]
         train_set = generate_toy(40, 3, derive_seed(13, r, 0))
         test = generate_toy(TOY_TEST_SIZE, 0, derive_seed(13, r, 1))
-        model, _ = train(method, train_set, k, 20, StepSchedule("inverse-t", 0.5),
+        model, _ = train(method, train_set, k, 20, eta0=0.5,
                          seed=derive_seed(13, r, 2 + j))
         assert rec["accuracy"] == accuracy(model, test)
         assert (rec["k"], rec["t"], rec["error"]) == (k, 20, None)
@@ -192,6 +191,24 @@ def test_k_sweep_records_a_failed_training(monkeypatch):
                for rec in failed)
     assert report.summary["mean_accuracy_by_k"] == {
         "2": report.summary["mom-logistic-k2"]["mean"], "4": None}
+
+
+def test_records_csv_of_a_failed_training_reads_back_cell_for_cell(tmp_path,
+                                                                   monkeypatch):
+    # an error's repr holds commas, so its cell must be quoted
+    def fails(ds, init, cfg):
+        raise ValueError(f"need 1 <= k <= n, got k={cfg.k}, n=3")
+
+    monkeypatch.setattr(momclf.optim, "mom_gd_train", fails)
+    report = run_k_sweep([2], 1, master_seed=3, n_inliers=40, n_outliers=2, t=20)
+    path = tmp_path / "r.csv"
+    report.write_records_csv(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows == [{key: str(value) for key, value in rec.items()}
+                    for rec in report.records]
+    assert rows[0]["error"] == "ValueError('need 1 <= k <= n, got k=2, n=3')"
+    assert rows[0]["accuracy"] == "None"
 
 
 def test_k_sweep_rejects_bad_k():

@@ -6,7 +6,7 @@ import pytest
 from momclf.cli import main
 from momclf.data import load_csv
 from momclf.model import predict
-from momclf.optim import StepSchedule, TrainTrace, train
+from momclf.optim import TrainTrace, train
 
 
 def test_unknown_flag_rejected(capsys):
@@ -195,7 +195,7 @@ def test_kernel_predictions_from_the_file_equal_the_trained_model(tmp_path, algo
     assert main(["predict", "--model", str(model), "--data", str(data),
                  "--output", str(preds)]) == 0
     ds = load_csv(data)
-    trained, _ = train(algo, ds, 4, 10, StepSchedule("inverse-t", 0.5), seed=1)
+    trained, _ = train(algo, ds, 4, 10, eta0=0.5, seed=1)
     written = np.loadtxt(preds, skiprows=1)
     assert np.array_equal(written, predict(trained, ds.X))
 
@@ -441,12 +441,13 @@ def test_train_config_names_the_path_and_key_of_a_bad_value(tmp_path, capsys,
 
 
 # one out-of-set value per option, then each bandwidth that is not a finite
-# number > 0
+# number > 0, then a negative seed
 _OUT_OF_SET = [pytest.param(name, value, id=name) for name, value in (
     ("algo", "svm"), ("schedule", "cosine"), ("gradient_mode", "bogus"),
     ("kernel", "poly"), ("gamma", "wide"))] + [
     pytest.param("gamma", value, id=f"gamma={value}")
-    for value in ("inf", "nan", "1e400", 0, -1)]
+    for value in ("inf", "nan", "1e400", 0, -1)] + [
+    pytest.param("seed", -1, id="seed=-1")]
 
 
 @pytest.mark.parametrize("algo", ["mom-logistic", "fast-klr-mom"])
@@ -472,6 +473,53 @@ def test_train_refuses_an_out_of_set_value_as_flag_and_as_config(tmp_path, capsy
                  "--model", str(model)]) == 1
     assert f"error: {cfg}: config field '{name}' must " in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize("algo, name, value, schedule", [
+    ("mom-logistic", "eta0", "inf", "inverse-t"),
+    ("mom-logistic", "eta0", "inf", "constant"),
+    ("mom-logistic", "eta0", "nan", "constant"),
+    ("fast-klr-mom", "eta0", "inf", "inverse-t"),
+    ("fast-klr-mom", "beta", "inf", "inverse-t"),
+])
+def test_train_refuses_a_non_finite_eta0_or_beta_as_flag_and_as_config(
+        tmp_path, capsys, algo, name, value, schedule):
+    # the flag reaches train, which names the option; the config file's
+    # field check refuses the value first
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "20", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", "--algo", algo, "--k", "2", "--t", "5", "--schedule", schedule,
+                 f"--{name}", value, "--data", str(data), "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {name} must be finite, got {value}" in err
+    assert "Warning" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algo": algo, "k": 2, "t": 5, "schedule": schedule,
+                               name: float(value)}))
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--model", str(model)]) == 1
+    assert (f"error: {cfg}: config field '{name}' must hold finite JSON numbers"
+            in capsys.readouterr().err)
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--kind", "toy"],
+    ["bench-robustness", "--runs", "1"],
+    ["bench-ksweep", "--k-values", "10", "--runs", "1"],
+    ["bench-rates", "--dataset", "moons"],
+    ["bench-timing", "--n", "40", "--k", "2"],
+], ids=["generate", "robustness", "ksweep", "rates", "timing"])
+def test_every_seed_flag_refuses_a_negative_seed(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1", "--output", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seed: invalid seed value: '-1'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algo", ["mom-logistic", "fast-klr-mom"])

@@ -94,6 +94,18 @@ def test_config_validation():
     # the engines' config has no default kernel: train holds the only one
     with pytest.raises(TypeError, match="kernel"):
         FastKlrConfig(k=3, t=10)
+    for kind, eta0 in (("inverse-t", math.inf), ("constant", math.inf),
+                       ("constant", math.nan)):
+        with pytest.raises(ValueError, match="eta0 must be finite"):
+            StepSchedule(kind, eta0)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), beta=math.inf)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), beta=math.nan)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        MomGdConfig(k=3, t=10, seed=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), seed=-1)
 
 
 def test_mom_gd_k_exceeding_n_rejected():
@@ -152,7 +164,7 @@ def test_erm_loss_decreases_on_separable_pair():
                  y=np.array([1.0, -1.0]))
     prev = np.inf
     for t in range(1, 6):
-        out, _ = train("erm-logistic", ds, 1, t, StepSchedule("inverse-t", 0.5))
+        out, _ = train("erm-logistic", ds, 1, t, eta0=0.5)
         cur = float(np.mean(loss_value(LossKind.LOGISTIC,
                                        ds.X @ out.u + out.b, ds.y)))
         assert cur < prev
@@ -265,6 +277,13 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
           '"final_objective": 0.5}}' % t,
        f"line 1: field 'meta.t' must equal the number of step records (2), got {t}")
       for t in (5, 1)],
+    *[(2, '{"t": 0, "partition_seed": %d, "k_med": 0, "block": [0, 1, 2, 3, 4, 5, 6], '
+          '"objective": 0.5}' % seed,
+       f"line 2: field 'partition_seed' must lie in [0, 2**63), got {seed}")
+      for seed in (-7, 2**63)],
+    *[(3, '{"t": %d, "partition_seed": 1, "k_med": 0, "block": [0, 1, 2, 3, 4, 5, 6], '
+          '"objective": 0.5}' % t,
+       f"line 3: field 't' must be the record's position 1, got {t}") for t in (999, 0)],
 ], ids=["step-field", "meta-field", "not-json", "not-object",
         "block-floats", "block-2d", "block-ragged", "block-string", "block-bools",
         "block-scalar", "block-overflow", "t-string", "seed-float", "k_med-bool",
@@ -272,7 +291,8 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
         "block-negative", "block-beyond-n", "block-short", "block-long",
         "block-empty", "block-repeated", "block-descending", "k_med-beyond-k",
         "k_med-negative", "meta-not-first", "meta-k-beyond-n", "meta-k-zero",
-        "meta-block-size", "meta-t-above-records", "meta-t-below-records"])
+        "meta-block-size", "meta-t-above-records", "meta-t-below-records",
+        "seed-negative", "seed-beyond-63-bits", "t-beyond-position", "t-repeated"])
 def test_trace_from_jsonl_names_path_line_and_field(tmp_path, lineno, bad_line,
                                                     message):
     ds = generate_toy(40, 2, 7)
@@ -336,8 +356,10 @@ def _same_trace(a, b):
 
 _WRONG_TYPES = ["x", True, None, {}, [True], 1.5]
 _MUTATIONS = ["none", "drop", "retype", "reshape", "non-finite", "out-of-range",
-              "unordered", "k_med-range", "meta-contradiction", "truncate", "add-key"]
-_STEP_MUTATIONS = ("reshape", "out-of-range", "unordered", "k_med-range")
+              "unordered", "k_med-range", "seed-range", "t-position",
+              "meta-contradiction", "truncate", "add-key"]
+_STEP_MUTATIONS = ("reshape", "out-of-range", "unordered", "k_med-range", "seed-range",
+                   "t-position")
 
 
 @given(_traces(), st.sampled_from(_MUTATIONS), st.data())
@@ -392,6 +414,14 @@ def test_trace_from_jsonl_returns_the_trace_or_names_path_line_and_field(
     elif mutation == "k_med-range":
         key = name = "k_med"
         record[key] = data.draw(st.sampled_from([-1, trace.k]))
+    elif mutation == "seed-range":
+        # outside the range _redrawn_partitions draws partition seeds from
+        key = name = "partition_seed"
+        record[key] = data.draw(st.sampled_from([-1, 2**63]))
+    elif mutation == "t-position":
+        key = name = "t"
+        record[key] = data.draw(st.integers(-2, trace.t + 1).filter(
+            lambda t: t != lineno - 2))
     elif mutation == "meta-contradiction":
         # k outside [1, n], a block size other than n // k, or a t other
         # than the number of records
@@ -477,7 +507,7 @@ def _model_arrays(model):
 @pytest.mark.parametrize("method", METHODS)
 def test_train_equals_the_direct_engine_call(method):
     ds, schedule = REPLAY_DATA, StepSchedule("inverse-t", 0.5)
-    model, trace = train(method, ds, 8, 15, schedule, seed=3,
+    model, trace = train(method, ds, 8, 15, eta0=0.5, seed=3,
                          record_selections=True)
     direct, direct_trace = _direct_engine_call(method, ds, 8, 15, schedule, 3)
     assert type(model) is type(direct)
@@ -494,7 +524,7 @@ def test_train_equals_the_direct_engine_call(method):
 @pytest.mark.parametrize("method", KERNEL_METHODS)
 def test_train_default_kernel_is_kernel_for_the_data(method):
     ds, schedule = generate_gaussians(200, 3), StepSchedule()
-    model, trace = train(method, ds, 5, 10, schedule, seed=1, record_selections=True)
+    model, trace = train(method, ds, 5, 10, seed=1, record_selections=True)
     engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
     direct, direct_trace = engine(ds, FastKlrConfig(
         k=5, t=10, kernel=kernel_for(ds.X), schedule=schedule, seed=1,
@@ -522,10 +552,9 @@ def test_k1_draws_its_one_partition_once(monkeypatch):
 
 
 def test_erm_is_bitwise_independent_of_seed_and_k():
-    schedule = StepSchedule("inverse-t", 0.5)
-    ref, ref_trace = train("erm-logistic", REPLAY_DATA, 8, 40, schedule, seed=0)
+    ref, ref_trace = train("erm-logistic", REPLAY_DATA, 8, 40, eta0=0.5, seed=0)
     for k, seed in ((8, 1), (120, 2**40), (1, 7)):
-        out, trace = train("erm-logistic", REPLAY_DATA, k, 40, schedule,
+        out, trace = train("erm-logistic", REPLAY_DATA, k, 40, eta0=0.5,
                            seed=seed, gradient_mode="sum")
         assert out.u.tobytes() == ref.u.tobytes() and out.b == ref.b
         assert trace.final_objective == ref_trace.final_objective
@@ -538,7 +567,7 @@ def test_erm_is_bitwise_independent_of_seed_and_k():
 
 def test_constant_step_warning_points_at_the_caller_of_train():
     with pytest.warns(UserWarning, match="constant step size") as record:
-        train("mom-logistic", REPLAY_DATA, 8, 5, StepSchedule("constant", 0.1))
+        train("mom-logistic", REPLAY_DATA, 8, 5, eta0=0.1, schedule="constant")
     assert [w.filename for w in record] == [__file__]
 
 
@@ -547,12 +576,44 @@ def test_constant_step_warning_points_at_the_caller_of_train():
 def test_constant_step_at_one_block_does_not_warn(method, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        train(method, REPLAY_DATA, k, 5, StepSchedule("constant", 2.0))
+        train(method, REPLAY_DATA, k, 5, eta0=2.0, schedule="constant")
+
+
+def _engine_at_its_defaults(method, ds, k, t):
+    # every config field that train does not fix by the method at its default
+    init = LinearModel.zeros(ds.p)
+    if method == "erm-logistic":
+        return mom_gd_train(ds, init, MomGdConfig(k=1, t=t, gradient_mode="mean"))
+    if method == "mom-logistic":
+        return mom_gd_train(ds, init, MomGdConfig(k=k, t=t))
+    if method == "mom-hinge":
+        return mom_gd_train(ds, init, MomGdConfig(k=k, t=t, loss=LossKind.HINGE))
+    engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
+    return engine(ds, FastKlrConfig(k=k, t=t, kernel=kernel_for(ds.X)))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_train_defaults_are_the_engine_defaults(method):
+    # train holds the front door's defaults, the engine configs their own
+    # for direct callers; the two sets agree
+    ds = generate_gaussians(200, 3)
+    model, trace = train(method, ds, 5, 10)
+    direct, direct_trace = _engine_at_its_defaults(method, ds, 5, 10)
+    assert type(model) is type(direct)
+    assert model_to_json(model) == model_to_json(direct)
+    assert all(a.tobytes() == b.tobytes() for a, b in
+               zip(_model_arrays(model), _model_arrays(direct)))
+    assert trace == direct_trace and trace.steps == []
+
+
+def test_train_takes_its_options_by_name_only():
+    with pytest.raises(TypeError):
+        train("mom-logistic", REPLAY_DATA, 8, 5, StepSchedule())
 
 
 def test_train_rejects_an_unknown_method_listing_methods():
     with pytest.raises(ValueError, match="'svm'") as exc:
-        train("svm", REPLAY_DATA, 8, 15, StepSchedule())
+        train("svm", REPLAY_DATA, 8, 15)
     assert all(method in str(exc.value) for method in METHODS)
 
 
