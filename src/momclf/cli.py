@@ -44,6 +44,15 @@ def bandwidth(value):
     return gamma
 
 
+def regularization(value):
+    """A regularization strength: a finite number > 0.  The type of --beta,
+    which reads the number from its text, and the check of a config's beta."""
+    beta = float(value)
+    if not 0 < beta < math.inf:
+        raise fault("beta", "be finite and > 0", value)
+    return beta
+
+
 def seed(value):
     """A seed: an integer >= 0.  The type of every --seed, which reads the
     integer from its text, and the check of a config's seed."""
@@ -75,7 +84,7 @@ TRAIN_OPTIONS = {
     "schedule": (STRING, str, optim.SCHEDULE_KINDS, None),
     "gradient_mode": (STRING, str, optim.GRADIENT_MODES,
                       "block-sum update (literal) or mean form"),
-    "beta": (NUMBER, float, None, "kernel engines: regularization strength"),
+    "beta": (NUMBER, regularization, None, "kernel engines: regularization strength"),
     "kernel": (STRING, str, KERNEL_KINDS, None),
     "gamma": (NUMBER_OR_STRING, bandwidth, None, "rbf bandwidth: positive "
               "float, 'auto' (1/p) or 'median' (median heuristic)"),
@@ -205,7 +214,8 @@ def _train_options(args) -> dict:
                 unknown = sorted(set(loaded) - set(TRAIN_OPTIONS))
                 if unknown:
                     raise ValueError(f"has unknown keys {unknown}")
-                for name, check in (("gamma", bandwidth), ("seed", seed)):
+                for name, check in (("gamma", bandwidth), ("beta", regularization),
+                                    ("seed", seed)):
                     if name in opts:
                         opts[name] = check(opts[name])
             except json.JSONDecodeError as exc:
@@ -220,6 +230,9 @@ def _train_options(args) -> dict:
 def _cmd_train(args) -> int:
     opts = _train_options(args)
     algo = opts.pop("algo", None)
+    if algo is None:
+        raise ValueError("no method: set --algo or the config key 'algo' to one "
+                         f"of {METHODS}")
     ds = load_csv(args.data, args.label_column)
     model, trace = optim.train(algo, ds, record_selections=args.trace is not None,
                                **opts)

@@ -6,14 +6,13 @@ holds only that expansion: 12.7 KB for a fast model at n=4000, K=20, not the
 244 KB of all n points and the partition.  Only within-block Gram matrices
 are built, except by the full-Gram baseline ``optim.klr_mom_train``.
 
-Memory contract: ``gram`` allocates its one output array plus one row tile
-(about ``_TILE_ENTRIES`` float64 entries) of temporaries, and
+Memory contract: ``gram``, the only builder of a training Gram, allocates
+its one output array plus one row tile (about ``_TILE_ENTRIES`` float64
+entries) of temporaries, and a C-ordered copy of X when X is strided; the
+matrix is built in place in its output from one BLAS ``syrk``.
 ``kernel_model_score`` streams the test points through two tiles of that
-size, so it never holds the n_test x n_support kernel matrix.  The training
-Gram ``gram(spec, X, X)`` is built in place in its output: BLAS ``syrk``
-fills one triangle, and each row band finishes its half and mirrors it
-through the same one tile, so it also holds a C-ordered copy of X when X is
-strided.  Both compute the squared row norms once per call.
+size, so it never holds the n_test x n_support kernel matrix.  Both compute
+the squared row norms once per call.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ class LinearModel:
 class KernelSpec:
     """Kernel family: 'linear' is <x1,x2>, 'rbf' is exp(-gamma ||x1-x2||^2)."""
 
-    kind: str = "rbf"
+    kind: str
     gamma: float = 1.0
 
     def __post_init__(self):
@@ -169,35 +168,30 @@ def kernel_eval(spec: KernelSpec, x1, x2) -> float:
     return float(np.exp(-spec.gamma * (diff @ diff)))
 
 
-def gram(spec: KernelSpec, A, B, idx_rows=None, idx_cols=None) -> np.ndarray:
-    """Dense kernel matrix between row sets A and B.
+def gram(spec: KernelSpec, X, idx=None) -> np.ndarray:
+    """The training Gram (kappa(x_i, x_j))_{i,j} of the rows of X.
 
-    ``idx_rows``/``idx_cols`` are the training indices the rows and columns
-    correspond to; they are only used for call recording.  Memory: the
-    output plus one row tile of scratch.  Passing the same array as A and B
-    builds the training Gram: exactly symmetric, and computed from the rows
-    in C order, so it does not depend on how they are strided.
+    ``idx`` holds the training indices of the rows; it is only used for call
+    recording.  The rows are read in C order, so the result does not depend
+    on how X is strided, and it is exactly symmetric.  While the matrix fits
+    one row band it is numpy's ``X @ X.T`` (a BLAS ``syrk`` and a mirror)
+    finished in place; a larger one is ``_symmetric_gram``'s.  Memory: the
+    output plus one row tile of scratch.
     """
     if _gram_log is not None:
-        _gram_log.append((None if idx_rows is None else np.asarray(idx_rows),
-                          None if idx_cols is None else np.asarray(idx_cols)))
-    if A is B:
-        A = B = np.ascontiguousarray(A, dtype=float)
-        if len(A) > 1:
-            return _symmetric_gram(spec, A)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    # One BLAS product for the whole matrix: a product per row tile may take
-    # another kernel path and differ in the last bit.
-    out = A @ B.T
+        _gram_log.append((idx, idx))
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.shape[0] ** 2 > _TILE_ENTRIES:
+        return _symmetric_gram(spec, X)
+    G = X @ X.T
     if spec.kind == "rbf":
-        _rbf_in_place(spec.gamma, out, _sq_norms(A), _sq_norms(B),
-                      _tile_buffer(*out.shape))
-    return out
+        x2 = _sq_norms(X)
+        _rbf_in_place(spec.gamma, G, x2, x2, _tile_buffer(*G.shape))
+    return G
 
 
 def _symmetric_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """``gram(spec, X, X)`` for n > 1 points: one BLAS ``syrk``, then the
+    """``gram(spec, X)`` beyond one row band: one BLAS ``syrk``, then the
     RBF finish and the mirror, one row band at a time.
 
     ``syrk`` fills one triangle, with the values of the triangle numpy's
@@ -207,7 +201,7 @@ def _symmetric_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
     RBF passes, and copies its part right of the diagonal tile below it.
     Each entry is the untiled formula's, since a2_i + a2_j is commutative.
 
-    The product comes from scipy's BLAS and ``gram(spec, A, B)`` takes it
+    The product comes from scipy's BLAS and a one-band ``gram`` takes it
     from numpy's, so the two equal ``X @ X.T`` bit for bit only while both
     libraries' ``dsyrk`` give the same bits; pip wheels ship each with its
     own OpenBLAS.  The result is exactly symmetric on any BLAS.
@@ -283,7 +277,7 @@ def block_kernel_matrices(ds: Dataset, partition: Partition, spec: KernelSpec):
     mats = []
     for j in range(partition.k):
         idx = partition.block(j)
-        mats.append(gram(spec, X[idx], X[idx], idx_rows=idx, idx_cols=idx))
+        mats.append(gram(spec, X[idx], idx))
     return mats
 
 
@@ -292,8 +286,9 @@ def kernel_model_score(m: KernelModel, x):
 
     A single point (1-d ``x``) gives a float, a (n, p) batch an n-vector.
     Points are scored one row tile at a time in two reused tile buffers, so
-    the kernel matrix is never held whole; each tile's scores are those of
-    ``gram(m.kernel, rows, support) @ alpha``.
+    the kernel matrix is never held whole.  A tile's kernel rows are one BLAS
+    product ``rows @ support.T`` finished by ``_rbf_in_place``, which is the
+    whole-matrix formula bit for bit, and its scores are those rows @ alpha.
     """
     single = np.ndim(x) == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))

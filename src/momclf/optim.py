@@ -397,8 +397,7 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     Cholesky reads it in that order, so ``solve`` neither converts nor copies
     it.  It reads the same upper triangle as it would of
     ``design + diag(beta / w)``, so the target is bitwise the same.
-    ``design`` itself is never written; it may be a cached block matrix, and
-    need not be exactly symmetric.
+    ``design`` itself is never written; it may be a cached block matrix.
     """
     s = design @ alpha_block
     pi = expit(s)
@@ -494,7 +493,7 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     n = ds.n
     if cfg.k > n:
         raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
-    full = gram(cfg.kernel, X, X, idx_rows=np.arange(n), idx_cols=np.arange(n))
+    full = gram(cfg.kernel, X, np.arange(n))
 
     def block_kernel(j, idx):
         # One gather of the block's rows per step.  The training Gram is
@@ -532,8 +531,11 @@ def train(method: str, ds: Dataset, k: int = 120, t: int = 2000, *,
     kernel methods use ``beta`` and the kernel ``kernel_for(ds.X, kernel,
     gamma)``.  ERM is MOM-logistic at K=1 in block-mean form, so it ignores
     ``k`` and ``gradient_mode``.  A constant step warns only for MOM at
-    K > 1.  Returns (model, trace).
+    K > 1.  A ``beta`` that is not finite and > 0 is refused for every
+    method.  Returns (model, trace).
     """
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and > 0, got {beta}")
     schedule = StepSchedule(kind=schedule, eta0=eta0)
     if method in ("mom-logistic", "mom-hinge", "erm-logistic"):
         if method == "erm-logistic":

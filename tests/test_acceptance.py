@@ -266,9 +266,13 @@ def test_criterion_9_fast_klr_structure():
     mats = block_kernel_matrices(ds, model.partition, cfg.kernel)
     storage_ok &= sum(m.size for m in mats) == 5 * (200 // 5) ** 2
 
-    timing = run_timing_probe(["fast-klr-mom", "klr-mom"], n=n,
-                              master_seed=94, k=k, t_kernel=50)
-    wall = timing.summary["wall_time"]
+    # Three probes in alternating engine order, compared by median wall time,
+    # so a burst of load from another process cannot decide the comparison.
+    engines = ["fast-klr-mom", "klr-mom"]
+    probes = [run_timing_probe(engines if r % 2 == 0 else engines[::-1], n=n,
+                               master_seed=94, k=k, t_kernel=50).summary["wall_time"]
+              for r in range(3)]
+    wall = {name: float(np.median([p[name] for p in probes])) for name in engines}
     faster = wall["fast-klr-mom"] < wall["klr-mom"]
     ok = cross == 0 and storage_ok and faster
     assert report(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -405,9 +406,25 @@ def test_train_config_file_with_flag_override(tmp_path):
     cfg.write_text(json.dumps({"algo": "mom-logistic", "bogus": 1}))
     assert main(["train", "--config", str(cfg), "--data", str(data),
                  "--model", str(tmp_path / "m3.json")]) == 1
-    # no algo from either source
-    assert main(["train", "--data", str(data),
-                 "--model", str(tmp_path / "m4.json")]) == 1
+
+
+@pytest.mark.parametrize("config", [None, {"k": 5}], ids=["no-config", "config"])
+def test_train_without_a_method_names_the_flag_and_the_config_key(tmp_path, capsys,
+                                                                  config):
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "20", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    argv = ["train", "--t", "5", "--data", str(data), "--model", str(tmp_path / "m.json")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: no method: set --algo or the config key 'algo'" in err
+    assert "None" not in err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("config, message", [
@@ -440,13 +457,15 @@ def test_train_config_names_the_path_and_key_of_a_bad_value(tmp_path, capsys,
     assert not model.exists()
 
 
-# one out-of-set value per option, then each bandwidth that is not a finite
-# number > 0, then a negative seed
+# one out-of-set value per option, then each bandwidth and each regularization
+# strength that is not a finite number > 0, then a negative seed
 _OUT_OF_SET = [pytest.param(name, value, id=name) for name, value in (
     ("algo", "svm"), ("schedule", "cosine"), ("gradient_mode", "bogus"),
     ("kernel", "poly"), ("gamma", "wide"))] + [
     pytest.param("gamma", value, id=f"gamma={value}")
     for value in ("inf", "nan", "1e400", 0, -1)] + [
+    pytest.param("beta", value, id=f"beta={value}")
+    for value in (math.inf, math.nan, 0, -1)] + [
     pytest.param("seed", -1, id="seed=-1")]
 
 
@@ -475,12 +494,12 @@ def test_train_refuses_an_out_of_set_value_as_flag_and_as_config(tmp_path, capsy
     assert not model.exists()
 
 
+# A beta that is not finite is refused by --beta's own type (_OUT_OF_SET).
 @pytest.mark.parametrize("algo, name, value, schedule", [
     ("mom-logistic", "eta0", "inf", "inverse-t"),
     ("mom-logistic", "eta0", "inf", "constant"),
     ("mom-logistic", "eta0", "nan", "constant"),
     ("fast-klr-mom", "eta0", "inf", "inverse-t"),
-    ("fast-klr-mom", "beta", "inf", "inverse-t"),
 ])
 def test_train_refuses_a_non_finite_eta0_or_beta_as_flag_and_as_config(
         tmp_path, capsys, algo, name, value, schedule):

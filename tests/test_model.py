@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg.blas import dsyrk
 
-from momclf.data import Dataset, Partition, random_equipartition
+from momclf.data import Dataset, Partition, generate_gaussians, random_equipartition
 from momclf.model import (
     KernelModel,
     KernelSpec,
@@ -79,6 +79,12 @@ def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(kind="rbf", gamma=0.0)
     assert kernel_for(np.zeros((1, 4))).gamma == 0.25
+    # the kind has no default; gamma keeps 1, which a linear kernel carries
+    with pytest.raises(TypeError):
+        KernelSpec()
+    with pytest.raises(TypeError):
+        KernelSpec(gamma=0.5)
+    assert KernelSpec(kind="linear").gamma == 1.0
 
 
 @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0],
@@ -104,7 +110,7 @@ def test_kernel_for_resolves_each_bandwidth_once():
 def test_rbf_gram_is_psd():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((20, 3))
-    G = gram(KernelSpec(kind="rbf", gamma=0.5), X, X)
+    G = gram(KernelSpec(kind="rbf", gamma=0.5), X)
     np.testing.assert_allclose(G, G.T, atol=1e-15)
     assert np.linalg.eigvalsh(G).min() >= -1e-8
 
@@ -113,7 +119,7 @@ def test_gram_matches_pairwise_oracle():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((10, 2))
     for spec in (KernelSpec(kind="rbf", gamma=1.3), KernelSpec(kind="linear")):
-        np.testing.assert_allclose(gram(spec, X, X), dense_gram_oracle(spec, X),
+        np.testing.assert_allclose(gram(spec, X), dense_gram_oracle(spec, X),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -128,6 +134,23 @@ def untiled_gram_reference(spec, A, B):
     )
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-spec.gamma * sq)
+
+
+def untiled_tile_scores(m, x):
+    """``kernel_model_score(m, x)`` from the untiled formula of each of its
+    row tiles."""
+    idx = m.partition.block(m.active_block)
+    support, alpha = m.support[idx], m.alpha[idx]
+    step = max(1, _TILE_ENTRIES // support.shape[0])
+    return np.concatenate([np.empty(0)] + [
+        untiled_gram_reference(m.kernel, x[s : s + step], support) @ alpha
+        for s in range(0, x.shape[0], step)])
+
+
+def _one_block_model(spec, support, alpha):
+    n = support.shape[0]
+    return KernelModel(alpha=alpha, support=support, kernel=spec,
+                       partition=Partition(blocks=np.arange(n)[None, :], n=n))
 
 
 def traced_peak(fn, *args):
@@ -156,20 +179,24 @@ TILE_1500 = _TILE_ENTRIES // 1500
     (3, _TILE_ENTRIES + 3, 2),
 ])
 def test_gram_equals_untiled_reference_bitwise(spec, n_rows, n_cols, p):
+    # The kernel rows of n_rows test points against n_cols support points,
+    # which only kernel_model_score's tiles build, score as the untiled
+    # formula of each tile does: 0 and 1 rows, tile edges and a support
+    # wider than one tile.
     rng = np.random.default_rng(n_rows + n_cols)
-    A = rng.standard_normal((n_rows, p))
-    B = rng.standard_normal((n_cols, p))
-    G = gram(spec, A, B)
-    assert G.shape == (n_rows, n_cols)
-    assert np.array_equal(G, untiled_gram_reference(spec, A, B))
+    x = rng.standard_normal((n_rows, p))
+    m = _one_block_model(spec, rng.standard_normal((n_cols, p)),
+                         rng.standard_normal(n_cols))
+    scores = kernel_model_score(m, x)
+    assert scores.shape == (n_rows,)
+    assert np.array_equal(scores, untiled_tile_scores(m, x))
 
 
 @pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
 @pytest.mark.parametrize("n", [TILE_1500 + 1, 1500])
 def test_training_gram_equals_untiled_reference_bitwise(spec, n):
-    # A is B, as in the full-Gram engine's training Gram.
     X = np.random.default_rng(n).standard_normal((n, 2))
-    assert np.array_equal(gram(spec, X, X), untiled_gram_reference(spec, X, X))
+    assert np.array_equal(gram(spec, X), untiled_gram_reference(spec, X, X))
 
 
 @pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
@@ -177,12 +204,14 @@ def test_training_gram_equals_untiled_reference_bitwise(spec, n):
 def test_training_gram_is_exactly_symmetric(spec, n):
     # klr_mom_train reads the kernel columns K[:, B] as the rows K[B]
     X = np.random.default_rng(n).standard_normal((n, 2))
-    G = gram(spec, X, X)
+    G = gram(spec, X)
     assert np.array_equal(G, G.T)
 
 
-# At n = TILE_SIDE one row band of the training Gram is the whole matrix;
-# one point more makes two bands, the second of two rows.
+# At n = TILE_SIDE one row band of the training Gram is the whole matrix, the
+# largest that numpy's X @ X.T builds; one point more makes two bands of
+# scipy's syrk, the second of two rows, so these sizes check that the two BLAS
+# builds agree.
 TILE_SIDE = math.isqrt(_TILE_ENTRIES)
 
 
@@ -193,7 +222,7 @@ TILE_SIDE = math.isqrt(_TILE_ENTRIES)
 def test_training_gram_bitwise_and_symmetric_across_shapes(spec, p, n, strided):
     Z = np.random.default_rng(n + p).standard_normal((n, 2 * p))
     X = Z[:, ::2] if strided else np.ascontiguousarray(Z[:, ::2])
-    G = gram(spec, X, X)
+    G = gram(spec, X)
     # a strided X gives the Gram of its C-ordered copy
     Xc = np.ascontiguousarray(X)
     assert np.array_equal(G, untiled_gram_reference(spec, Xc, Xc))
@@ -203,20 +232,21 @@ def test_training_gram_bitwise_and_symmetric_across_shapes(spec, p, n, strided):
 @pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
 def test_training_gram_of_no_points_is_empty(spec):
     X = np.empty((0, 3))
-    assert gram(spec, X, X).shape == (0, 0)
+    assert gram(spec, X).shape == (0, 0)
 
 
 def test_gram_peak_memory_is_output_plus_one_tile():
     X = np.random.default_rng(9).standard_normal((1500, 2))
-    G, peak = traced_peak(gram, KernelSpec(kind="rbf", gamma=0.5), X, X)
+    G, peak = traced_peak(gram, KernelSpec(kind="rbf", gamma=0.5), X)
     assert peak <= 1.5 * G.nbytes
 
 
 @pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
 def test_one_band_training_gram_peak_memory_is_output_plus_one_tile(spec):
-    # at TILE_SIDE points the diagonal tile of the one band is the whole matrix
+    # at TILE_SIDE points the matrix is one row band, the largest that numpy's
+    # product builds
     X = np.random.default_rng(10).standard_normal((TILE_SIDE, 2))
-    G, peak = traced_peak(gram, spec, X, X)
+    G, peak = traced_peak(gram, spec, X)
     assert peak <= G.nbytes + 1.5 * _TILE_ENTRIES * 8
 
 
@@ -277,6 +307,19 @@ def test_block_kernel_matrices_shapes_and_values():
                     kernel_eval(spec, ds.X[idx[a]], ds.X[idx[b]]), rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+def test_block_kernel_gram_is_exactly_symmetric(spec):
+    # 300-point blocks, where a general product of two copies of a block's
+    # rows is not symmetric: the IRLS Cholesky reads one triangle of a block
+    # matrix, and design @ alpha and the score update read all of it.
+    ds = generate_gaussians(1500, 1)
+    part = random_equipartition(ds.n, 5, np.random.default_rng(0))
+    for j, mat in enumerate(block_kernel_matrices(ds, part, spec)):
+        assert np.array_equal(mat, mat.T)
+        rows = ds.X[part.block(j)]
+        assert np.array_equal(mat, untiled_gram_reference(spec, rows, rows))
+
+
 def test_block_kernel_storage_total():
     ds = _dataset(50, 2, 4)
     part = random_equipartition(50, 7, np.random.default_rng(1))
@@ -299,8 +342,8 @@ def test_record_gram_calls_tracks_indices():
     with record_gram_calls() as log:
         block_kernel_matrices(ds, part, KernelSpec(kind="linear"))
     assert len(log) == 2
-    for rows, cols in log:
-        assert np.array_equal(rows, cols)
+    for j, (rows, cols) in enumerate(log):
+        assert np.array_equal(rows, part.block(j)) and np.array_equal(cols, rows)
 
 
 def test_model_json_round_trip_linear():
@@ -506,12 +549,10 @@ def _scoring_model(one_block, kind, n_support=1500, k=5, seed=12):
     kernel = (KernelSpec(kind="rbf", gamma=0.4) if kind == "rbf"
               else KernelSpec(kind="linear"))
     if one_block:
-        part = Partition(blocks=np.arange(n_support)[None, :], n=n_support)
-    else:
-        part = random_equipartition(n_support, k, np.random.default_rng(seed + 1))
+        return _one_block_model(kernel, support, rng.standard_normal(n_support))
+    part = random_equipartition(n_support, k, np.random.default_rng(seed + 1))
     return KernelModel(alpha=rng.standard_normal(n_support), support=support,
-                       kernel=kernel, partition=part,
-                       active_block=0 if one_block else 2)
+                       kernel=kernel, partition=part, active_block=2)
 
 
 @pytest.mark.parametrize("kind", ["rbf", "linear"])
@@ -521,18 +562,15 @@ def test_streamed_kernel_model_score_matches_whole_gram(one_block, kind):
     x = np.random.default_rng(13).standard_normal((1200, 3))
     idx = m.partition.block(m.active_block)
     support, alpha = m.support[idx], m.alpha[idx]
-    whole = gram(m.kernel, x, support) @ alpha
+    whole = untiled_gram_reference(m.kernel, x, support) @ alpha
     scores = kernel_model_score(m, x)
     # Tiles change the row count of each BLAS product, which may round
     # differently; float64 rounding bounds the gap by a few ulps of sum|alpha|.
     np.testing.assert_allclose(scores, whole, rtol=0,
                                atol=1e-12 * np.abs(alpha).sum())
     assert np.array_equal(predict(m, x), np.where(whole >= 0.0, 1.0, -1.0))
-    # Each tile scores exactly as gram() of that tile does.
-    step = _TILE_ENTRIES // support.shape[0]
-    tiled = np.concatenate([gram(m.kernel, x[s : s + step], support) @ alpha
-                            for s in range(0, x.shape[0], step)])
-    assert np.array_equal(scores, tiled)
+    # Each tile scores exactly as the untiled formula of that tile does.
+    assert np.array_equal(scores, untiled_tile_scores(m, x))
 
 
 @pytest.mark.parametrize("one_block", [True, False], ids=["full", "block"])
@@ -542,7 +580,8 @@ def test_kernel_model_score_single_point_is_float(one_block):
     score = kernel_model_score(m, x)
     assert isinstance(score, float)
     idx = m.partition.block(m.active_block)
-    assert score == (gram(m.kernel, x[None], m.support[idx]) @ m.alpha[idx])[0]
+    assert score == (untiled_gram_reference(m.kernel, x[None], m.support[idx])
+                     @ m.alpha[idx])[0]
 
 
 @pytest.mark.parametrize("model", [

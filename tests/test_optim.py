@@ -617,6 +617,15 @@ def test_train_rejects_an_unknown_method_listing_methods():
     assert all(method in str(exc.value) for method in METHODS)
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("beta", [-1.0, 0.0, math.inf, math.nan],
+                         ids=["negative", "zero", "inf", "nan"])
+def test_train_refuses_a_beta_that_is_not_finite_and_positive(method, beta):
+    # every method, also the linear ones that do not use beta
+    with pytest.raises(ValueError, match=f"beta must be finite and > 0, got {beta}"):
+        train(method, REPLAY_DATA, 8, 15, beta=beta)
+
+
 def test_mom_objective_cases():
     ds = make_dataset(30, 2, 8)
     rng = np.random.default_rng(0)
@@ -756,7 +765,7 @@ def test_fast_klr_single_block_is_damped_klr_with_monotone_loss():
         cfg = FastKlrConfig(k=1, t=t, schedule=StepSchedule("inverse-t", 1.0),
                             beta=1e-3, kernel=spec, seed=7)
         model, _ = fast_klr_mom_train(ds, cfg)
-        G = gram(spec, ds.X, ds.X)
+        G = gram(spec, ds.X)
         scores = G @ model.alpha
         losses.append(float(np.mean(np.logaddexp(0.0, -ds.y * scores))))
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -840,7 +849,7 @@ def test_irls_target_solves_penalized_system(spec, p):
     rng = np.random.default_rng(24)
     X = rng.standard_normal((30, p))
     y = rng.choice([-1.0, 1.0], size=30)
-    K = gram(spec, X, X)
+    K = gram(spec, X)
     alpha = rng.standard_normal(30)
     beta = 1e-3
     target = _irls_update(K, alpha, y, beta, eta=1.0)
@@ -867,7 +876,7 @@ def _lopsided_design(rng, m):
     # SPD in its upper triangle, with a lower triangle that differs from it,
     # so a solve that read the lower triangle would give other bits
     X = rng.standard_normal((m, 4))
-    K = gram(KernelSpec(kind="rbf", gamma=0.3), X, X)
+    K = gram(KernelSpec(kind="rbf", gamma=0.3), X)
     return K + np.tril(rng.uniform(0.1, 0.2, (m, m)), k=-1)
 
 
@@ -882,7 +891,7 @@ def test_irls_update_equals_the_copying_solve_bitwise(design, seed):
         spec = KernelSpec(kind="rbf", gamma=0.7) if design == "rbf" \
             else KernelSpec(kind="linear")  # p=3 < m: rank-deficient Gram
         X = rng.standard_normal((m, 2 if design == "rbf" else 3))
-        K = gram(spec, X, X)
+        K = gram(spec, X)
     assert K.flags.c_contiguous
     before = K.copy()
     alpha = rng.standard_normal(m)
@@ -952,7 +961,7 @@ def test_klr_final_objective_is_the_stationary_objective(train):
     cfg = FastKlrConfig(k=1, t=30, schedule=StepSchedule("constant", 1.0),
                         beta=beta, kernel=spec, seed=13)
     model, trace = train(ds, cfg)
-    G = gram(spec, ds.X, ds.X)
+    G = gram(spec, ds.X)
     a = model.alpha
     scores = G @ a
     m = ds.n
@@ -986,7 +995,7 @@ def _exact_score_klr(ds, cfg, fast):
                 s[idx] = mat @ alpha[idx]
             return s
     else:
-        G = gram(cfg.kernel, X, X)
+        G = gram(cfg.kernel, X)
 
         def design(j, idx):
             return G[np.ix_(idx, idx)]
