@@ -7,12 +7,13 @@ holds only that expansion: 12.7 KB for a fast model at n=4000, K=20, not the
 are built, except by the full-Gram baseline ``optim.klr_mom_train``.
 
 Memory contract: ``gram``, the only builder of a training Gram, allocates
-its one output array plus one row tile (about ``_TILE_ENTRIES`` float64
-entries) of temporaries, and a C-ordered copy of X when X is strided; the
-matrix is built in place in its output from one BLAS ``syrk``.
-``kernel_model_score`` streams the test points through two tiles of that
-size, so it never holds the n_test x n_support kernel matrix.  Both compute
-the squared row norms once per call.
+its one output array plus one RBF finish step (about ``_FINISH_ENTRIES``
+float64 entries) of scratch, and a C-ordered copy of X when X is strided;
+the matrix is built in place in its output from one BLAS ``syrk``.
+``kernel_model_score`` streams the test points through one product tile
+(about ``_TILE_ENTRIES`` entries) and one finish step of scratch, so it
+never holds the n_test x n_support kernel matrix.  Both compute the squared
+row norms once per call.
 """
 
 from __future__ import annotations
@@ -33,8 +34,12 @@ MODEL_FORMAT = 2
 
 KERNEL_KINDS = ("linear", "rbf")
 
-# Entries per row tile of an RBF evaluation: 2 MB of float64.
+# Entries per row tile of a kernel product: 2 MB of float64.  It sets where
+# ``gram`` leaves its one-band path and the rows of each scoring product.
 _TILE_ENTRIES = 2**18
+# Entries per step of the elementwise RBF finish: 256 KB of float64, so a
+# step and its scratch stay in cache through the finish's passes.
+_FINISH_ENTRIES = 2**15
 
 # Active log of (row_indices, col_indices) pairs for every Gram evaluation,
 # used by tests to verify that block algorithms never touch cross-block
@@ -176,7 +181,7 @@ def gram(spec: KernelSpec, X, idx=None) -> np.ndarray:
     on how X is strided, and it is exactly symmetric.  While the matrix fits
     one row band it is numpy's ``X @ X.T`` (a BLAS ``syrk`` and a mirror)
     finished in place; a larger one is ``_symmetric_gram``'s.  Memory: the
-    output plus one row tile of scratch.
+    output plus one finish step of scratch.
     """
     if _gram_log is not None:
         _gram_log.append((idx, idx))
@@ -186,7 +191,8 @@ def gram(spec: KernelSpec, X, idx=None) -> np.ndarray:
     G = X @ X.T
     if spec.kind == "rbf":
         x2 = _sq_norms(X)
-        _rbf_in_place(spec.gamma, G, x2, x2, _tile_buffer(*G.shape))
+        scratch = np.empty(_finish_entries(*G.shape))
+        _rbf_in_place(spec.gamma, G, x2, x2, scratch)
     return G
 
 
@@ -214,15 +220,15 @@ def _symmetric_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
               overwrite_c=1).T
     step = _tile_rows(n)
     below = np.tri(min(step, n), k=-1, dtype=bool)
-    # The diagonal tile's transpose goes through the scratch tile: copying a
-    # view onto itself would make numpy allocate a second tile.
-    scratch = _tile_buffer(n, n)
+    # The scratch holds the diagonal tile's transpose (copying a view onto
+    # itself would make numpy allocate a second tile) or one finish step.
+    scratch = np.empty(max(step * step, _finish_entries(n, n)))
     if spec.kind == "rbf":
         x2 = _sq_norms(X)
     for r0 in range(0, n, step):
         r1 = min(r0 + step, n)
         diag = G[r0:r1, r0:r1]
-        diag_t = scratch[: r1 - r0, : r1 - r0]
+        diag_t = scratch[: (r1 - r0) ** 2].reshape(r1 - r0, r1 - r0)
         np.copyto(diag_t, diag.T)
         np.copyto(diag, diag_t, where=below[: r1 - r0, : r1 - r0])
         if spec.kind == "rbf":
@@ -236,29 +242,33 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
     return np.sum(X * X, axis=1)
 
 
-def _tile_rows(n_cols: int) -> int:
-    """Rows per tile so that one tile holds about ``_TILE_ENTRIES`` entries."""
-    return max(1, _TILE_ENTRIES // max(n_cols, 1))
+def _tile_rows(n_cols: int, entries: int = _TILE_ENTRIES) -> int:
+    """Rows per tile so that one tile holds about ``entries`` entries."""
+    return max(1, entries // max(n_cols, 1))
 
 
-def _tile_buffer(n_rows: int, n_cols: int) -> np.ndarray:
-    """Uninitialized storage for one row tile of an (n_rows, n_cols) matrix."""
-    return np.empty((min(n_rows, _tile_rows(n_cols)), n_cols))
+def _finish_entries(n_rows: int, n_cols: int) -> int:
+    """Scratch entries for the RBF finish of a matrix of at most ``n_rows``
+    rows and ``n_cols`` columns: one finish step, or the whole matrix if
+    that is smaller."""
+    return min(n_rows * n_cols, max(_FINISH_ENTRIES, n_cols))
 
 
 def _rbf_in_place(gamma: float, out: np.ndarray, a2, b2, scratch: np.ndarray):
-    """Turn ``out`` = A @ B.T into exp(-gamma ||a - b||^2), one row tile at a time.
+    """Turn ``out`` = A @ B.T into exp(-gamma ||a - b||^2), one finish step of
+    about ``_FINISH_ENTRIES`` entries at a time.
 
     ``a2`` and ``b2`` are the squared row norms of A and B, and ``scratch``
-    holds at least one tile.  Each entry goes through the untiled formula's
-    operations: (a2 + b2) + (-2 ab) equals (a2 + b2) - 2 ab exactly, so the
-    values match it bit for bit.
+    is a flat array of at least one finish step's entries.  The finish is
+    elementwise, so the row step does not change the bits, and each entry
+    goes through the untiled formula's operations: (a2 + b2) + (-2 ab)
+    equals (a2 + b2) - 2 ab exactly, so the values match it bit for bit.
     """
-    step = _tile_rows(out.shape[1])
+    step = _tile_rows(out.shape[1], _FINISH_ENTRIES)
     for start in range(0, out.shape[0], step):
         rows = slice(start, start + step)
         tile = out[rows]
-        sums = scratch[: tile.shape[0], : tile.shape[1]]
+        sums = scratch[: tile.size].reshape(tile.shape)
         np.add(a2[rows, None], b2, out=sums)
         tile *= -2.0
         tile += sums
@@ -271,7 +281,8 @@ def block_kernel_matrices(ds: Dataset, partition: Partition, spec: KernelSpec):
     """The K within-block Gram matrices N^k = (kappa(X_i, X_j))_{i,j in B_k}.
 
     Storage is K * (n // K)^2 entries in total; the full Gram matrix is
-    never formed.
+    never formed.  The fast engine builds only the blocks it selects, each
+    by this function's call ``gram(spec, X[idx], idx)``.
     """
     X, _ = ds.training_arrays()
     mats = []
@@ -285,10 +296,11 @@ def kernel_model_score(m: KernelModel, x):
     """Out-of-sample score via the expansion over the active block.
 
     A single point (1-d ``x``) gives a float, a (n, p) batch an n-vector.
-    Points are scored one row tile at a time in two reused tile buffers, so
+    Points are scored one row tile at a time in one reused tile buffer, so
     the kernel matrix is never held whole.  A tile's kernel rows are one BLAS
-    product ``rows @ support.T`` finished by ``_rbf_in_place``, which is the
-    whole-matrix formula bit for bit, and its scores are those rows @ alpha.
+    product ``rows @ support.T`` finished by ``_rbf_in_place`` in one finish
+    step of scratch, which is the whole-matrix formula bit for bit, and its
+    scores are those rows @ alpha.
     """
     single = np.ndim(x) == 1
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -298,12 +310,12 @@ def kernel_model_score(m: KernelModel, x):
     idx = m.partition.block(m.active_block)
     support, alpha = m.support[idx], m.alpha[idx]
     rbf = m.kernel.kind == "rbf"
+    n = x.shape[0]
     if rbf:
         x2, support2 = _sq_norms(x), _sq_norms(support)
-    n = x.shape[0]
+        scratch = np.empty(_finish_entries(n, support.shape[0]))
     step = _tile_rows(support.shape[0])
-    tile = _tile_buffer(n, support.shape[0])
-    scratch = np.empty_like(tile)
+    tile = np.empty((min(n, step), support.shape[0]))
     scores = np.empty(n)
     for start in range(0, n, step):
         rows = slice(start, start + step)

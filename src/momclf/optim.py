@@ -14,10 +14,11 @@ they differ in their parameters, initial scores and block step, which returns
 the next parameters and the scores at them: X u + b for the linear engine, and
 for the kernel engines the rank-|B| update (1 - eta) s + K[:, B] d, which costs
 O(n |B|) instead of the O(n^2) of rescoring K alpha.  Of the two kernel
-engines, the fast variant fixes the partition up front and only ever builds
-the K within-block kernel matrices, the full variant redraws it every step
-and scores against the full Gram matrix.  ``train`` is the one map from a
-method name in ``METHODS`` to its configuration and engine.
+engines, the fast variant fixes the partition up front and builds only the
+within-block kernel matrices of the blocks it selects, the full variant
+redraws it every step and scores against the full Gram matrix.  ``train`` is
+the one map from a method name in ``METHODS`` to its configuration and
+engine.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from momclf.model import (
     KernelModel,
     KernelSpec,
     LinearModel,
-    block_kernel_matrices,
     gram,
     kernel_for,
 )
@@ -393,11 +393,13 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     the block's coefficients a fraction eta towards it.
 
     The system matrix is one Fortran-ordered copy of ``design`` with beta / w
-    added to its diagonal, which ``solve`` factors in place: LAPACK's
-    Cholesky reads it in that order, so ``solve`` neither converts nor copies
-    it.  It reads the same upper triangle as it would of
+    added to its diagonal through a strided view, which ``solve`` factors in
+    place: LAPACK's Cholesky reads it in that order, so ``solve`` neither
+    converts nor copies it.  It reads the same upper triangle as it would of
     ``design + diag(beta / w)``, so the target is bitwise the same.
     ``design`` itself is never written; it may be a cached block matrix.
+    A system that rounding leaves singular, as a rank-deficient kernel with
+    a tiny beta can, raises NumericError naming beta.
     """
     s = design @ alpha_block
     pi = expit(s)
@@ -405,9 +407,14 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     y01 = (y_block + 1.0) / 2.0
     z = s + (y01 - pi) / w
     a = np.array(design, order="F")
-    a[np.diag_indices_from(a)] += beta / w
-    target = scipy.linalg.solve(a, z, assume_a="pos", overwrite_a=True,
-                                overwrite_b=True)
+    diagonal = np.einsum("ii->i", a)  # a writable view of a's diagonal
+    diagonal += beta / w
+    try:
+        target = scipy.linalg.solve(a, z, assume_a="pos", overwrite_a=True,
+                                    overwrite_b=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"the IRLS system is singular at beta={beta:g}; "
+                           "raise beta (--beta)") from exc
     if not np.all(np.isfinite(target)):
         raise NumericError("IRLS produced non-finite coefficients")
     return alpha_block * (1.0 - eta) + eta * target
@@ -456,22 +463,28 @@ def _klr_descent(y, cfg: FastKlrConfig, partitions, block_kernel):
 def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     """Fast block-kernel logistic regression with MOM block selection.
 
-    The partition is fixed once; only the K within-block kernel matrices
-    are ever built, and each block is scored against its own.  Returns
-    (model, trace); the model's active block is the median block of the
-    last step.
+    The partition is fixed once, and only the kernel matrices of the blocks
+    it selects are built: a block's matrix is built, by the call
+    ``block_kernel_matrices`` makes, when the block is first selected (or
+    is the final objective's median block) and is kept from then on.  Each
+    block is scored against its own.  Returns (model, trace); the model's
+    active block is the median block of the last step.
     """
     X, y = ds.training_arrays()
     n = ds.n
     part_seed, part = next(_redrawn_partitions(n, cfg.k,
                                                np.random.default_rng(cfg.seed)))
-    mats = block_kernel_matrices(ds, part, cfg.kernel)
+    mats = {}
 
     def block_kernel(j, idx):
+        if j not in mats:
+            mats[j] = gram(cfg.kernel, X[idx], idx)
+        mat = mats[j]
+
         def add_columns(s, d):
             # block j's kernel columns are zero outside block j
-            s[idx] += mats[j] @ d
-        return mats[j], add_columns
+            s[idx] += mat @ d
+        return mat, add_columns
 
     alpha, k_med, trace = _klr_descent(
         y, cfg, itertools.repeat((part_seed, part)), block_kernel)

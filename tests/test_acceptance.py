@@ -253,16 +253,22 @@ def test_criterion_9_fast_klr_structure():
     ds = Dataset(X=np.random.default_rng(91).standard_normal((200, 2)),
                  y=np.random.default_rng(92).choice([-1.0, 1.0], size=200))
     cfg = FastKlrConfig(k=5, t=8, schedule=StepSchedule("inverse-t", 0.5),
-                        kernel=KernelSpec(kind="rbf", gamma=0.5), seed=93)
+                        kernel=KernelSpec(kind="rbf", gamma=0.5), seed=93,
+                        record_selections=True)
     with record_gram_calls() as log:
-        model, _ = fast_klr_mom_train(ds, cfg)
+        model, trace = fast_klr_mom_train(ds, cfg)
     blocks = [set(model.partition.block(j).tolist()) for j in range(5)]
     cross = sum(1 for rows, cols in log
                 if not any((set(rows.tolist()) | set(cols.tolist())) <= blk
                            for blk in blocks))
+    # the engine builds the Gram of each block it selects, once, and no other
+    logged = [j for rows, _ in log for j in range(5)
+              if rows is not None and set(rows.tolist()) == blocks[j]]
+    selected = {rec.k_med for rec in trace.steps}
     entries = sum(len(rows) * len(cols) for rows, cols in log
                   if rows is not None)
-    storage_ok = entries == 5 * (200 // 5) ** 2
+    storage_ok = (set(logged) == selected and len(logged) == len(set(logged))
+                  and entries == len(selected) * (200 // 5) ** 2)
     mats = block_kernel_matrices(ds, model.partition, cfg.kernel)
     storage_ok &= sum(m.size for m in mats) == 5 * (200 // 5) ** 2
 
@@ -278,7 +284,8 @@ def test_criterion_9_fast_klr_structure():
     assert report(
         "9 (fast KLR structure)", ok,
         f"cross-block gram calls {cross} (need 0), kernel storage exact="
-        f"{storage_ok}, wall fast={wall['fast-klr-mom']:.2f}s < "
+        f"{storage_ok} ({len(selected)} of 5 blocks selected), "
+        f"wall fast={wall['fast-klr-mom']:.2f}s < "
         f"full={wall['klr-mom']:.2f}s at n={n}, K={k}: {faster} "
         f"[{time.perf_counter() - t0:.0f}s]")
 

@@ -525,6 +525,22 @@ def test_train_refuses_a_non_finite_eta0_or_beta_as_flag_and_as_config(
     assert not model.exists()
 
 
+@pytest.mark.parametrize("algo", ["fast-klr-mom", "klr-mom"])
+def test_train_names_beta_when_the_irls_system_is_singular(tmp_path, capsys, algo):
+    data = tmp_path / "toy.csv"
+    main(["generate", "--kind", "toy", "--inliers", "200", "--outliers", "10",
+          "--seed", "3", "--output", str(data)])
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", "--algo", algo, "--kernel", "linear", "--k", "10",
+                 "--t", "20", "--beta", "1e-30", "--data", str(data),
+                 "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert ("error: the IRLS system is singular at beta=1e-30; raise beta (--beta)"
+            in err)
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--kind", "toy"],
     ["bench-robustness", "--runs", "1"],

@@ -19,7 +19,10 @@ from momclf.model import (
     kernel_eval,
     kernel_for,
     kernel_model_score,
+    _FINISH_ENTRIES,
     _TILE_ENTRIES,
+    _finish_entries,
+    _rbf_in_place,
     linear_score,
     median_heuristic_gamma,
     model_from_json,
@@ -248,6 +251,50 @@ def test_one_band_training_gram_peak_memory_is_output_plus_one_tile(spec):
     X = np.random.default_rng(10).standard_normal((TILE_SIDE, 2))
     G, peak = traced_peak(gram, spec, X)
     assert peak <= G.nbytes + 1.5 * _TILE_ENTRIES * 8
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [
+    (3, _FINISH_ENTRIES),  # a finish step of one row
+    (4, _FINISH_ENTRIES + 5),
+    (2, 20_000),
+    (100, 1000),  # steps of 32 rows: the step does not divide the rows
+    (75, 3000),
+    (TILE_SIDE, TILE_SIDE),  # the old tile of 2**18 entries, one band
+    (TILE_SIDE + 1, TILE_SIDE),
+    (2, _TILE_ENTRIES),
+    (1, _TILE_ENTRIES + 1),
+])
+def test_gram_rbf_finish_equals_untiled_formula_bitwise(n_rows, n_cols):
+    # the finish is elementwise, so any row step gives the untiled bits
+    rng = np.random.default_rng(n_rows * n_cols)
+    A = rng.standard_normal((n_rows, 2))
+    B = rng.standard_normal((n_cols, 2))
+    spec = KernelSpec(kind="rbf", gamma=0.7)
+    out = A @ B.T
+    scratch = np.empty(_finish_entries(n_rows, n_cols))
+    assert scratch.size <= max(_FINISH_ENTRIES, n_cols)
+    _rbf_in_place(spec.gamma, out, np.sum(A * A, axis=1), np.sum(B * B, axis=1),
+                  scratch)
+    assert np.array_equal(out, untiled_gram_reference(spec, A, B))
+
+
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+def test_one_band_gram_scratch_is_one_finish_step(spec):
+    X = np.random.default_rng(12).standard_normal((TILE_SIDE, 2))
+    G, peak = traced_peak(gram, spec, X)
+    # the scratch, plus numpy's ufunc buffers of 8192 entries per operand
+    assert peak <= G.nbytes + 2 * _FINISH_ENTRIES * 8
+
+
+def test_kernel_model_score_gram_tile_and_one_finish_step():
+    # one product tile of about _TILE_ENTRIES and one finish step of scratch
+    rng = np.random.default_rng(13)
+    m = _one_block_model(KernelSpec(kind="rbf", gamma=0.5),
+                         rng.standard_normal((200, 3)), rng.standard_normal(200))
+    x = rng.standard_normal((5000, 3))
+    scores, peak = traced_peak(kernel_model_score, m, x)
+    assert np.array_equal(scores, untiled_tile_scores(m, x))
+    assert peak <= 8 * (_TILE_ENTRIES + 2 * _FINISH_ENTRIES + 4 * x.shape[0])
 
 
 def test_scipy_syrk_gives_the_bits_of_numpy_symmetric_product():

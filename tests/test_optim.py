@@ -808,6 +808,60 @@ def test_fast_klr_never_crosses_blocks():
     assert cross == 0
 
 
+def test_fast_klr_builds_each_selected_block_gram_once(monkeypatch):
+    # a block's Gram is built the first time the block is selected (or is the
+    # final objective's median block) and is kept; unselected blocks cost
+    # nothing
+    ds = generate_gaussians(400, 28)
+    cfg = FastKlrConfig(k=10, t=30, schedule=StepSchedule("inverse-t", 0.5),
+                        kernel=KernelSpec(kind="rbf", gamma=0.5), seed=14,
+                        record_selections=True)
+    built = []
+    gram_of = momclf.optim.gram
+
+    def keep(spec, X, idx=None):
+        mat = gram_of(spec, X, idx)
+        built.append((idx, mat))
+        return mat
+
+    monkeypatch.setattr(momclf.optim, "gram", keep)
+    with record_gram_calls() as log:
+        model, trace = fast_klr_mom_train(ds, cfg)
+    part = model.partition
+    owner = np.empty(ds.n, dtype=int)
+    for j in range(part.k):
+        owner[part.block(j)] = j
+    logged = [int(owner[rows[0]]) for rows, _ in log]
+    first_selected = list(dict.fromkeys(rec.k_med for rec in trace.steps))
+    assert len(logged) == len(set(logged))
+    # in order of first selection, then at most the final objective's block
+    assert logged[:len(first_selected)] == first_selected
+    assert len(logged) <= len(first_selected) + 1
+    assert len(logged) < part.k
+    mats = block_kernel_matrices(ds, part, cfg.kernel)
+    for j, (idx, mat) in zip(logged, built):
+        assert np.array_equal(idx, part.block(j))
+        assert np.array_equal(mat, gram(cfg.kernel, ds.X[idx]))
+        assert np.array_equal(mat, mats[j])
+
+
+@pytest.mark.parametrize("method", KERNEL_METHODS)
+def test_klr_singular_irls_system_raises_numeric_error_naming_beta(method):
+    # a linear kernel on two features is rank 2; at beta = 1e-30 the diagonal
+    # beta / w is lost to rounding and the Cholesky factorization fails
+    ds = generate_toy(200, 10, 3)
+    with pytest.raises(momclf.optim.NumericError, match=r"beta=1e-30.*raise beta"):
+        train(method, ds, k=10, t=20, kernel="linear", beta=1e-30, seed=5)
+    model, _ = train(method, ds, k=10, t=20, kernel="linear", beta=1e-12, seed=5)
+    assert np.all(np.isfinite(model.alpha))
+
+
+def test_irls_update_raises_numeric_error_on_a_singular_system():
+    design = np.ones((3, 3))  # rank 1
+    with pytest.raises(momclf.optim.NumericError, match=r"beta=1e-300"):
+        _irls_update(design, np.zeros(3), np.ones(3), 1e-300, 0.5)
+
+
 def test_full_klr_mom_trains_and_scores_with_one_block_over_all_points():
     ds = separable_blobs(60, 21)
     cfg = FastKlrConfig(k=3, t=10, schedule=StepSchedule("inverse-t", 0.8),
