@@ -10,8 +10,8 @@ can afterwards be ranked by how often they were selected.
 All randomness flows through numpy's PCG64 generator
 (``numpy.random.default_rng``); any operation seeded with the same 64-bit
 integer reproduces its output bit for bit on the same numpy and scipy
-builds.  Other builds may round BLAS products differently: the training
-Gram of the full-Gram engine, for one, depends on them.
+builds.  Other builds may round BLAS products differently: every training
+Gram of both kernel engines, one scipy BLAS ``dsyrk``, depends on them.
 """
 
 from momclf.data import (

@@ -3,8 +3,9 @@
 A spec maps each field name to a kind: the Python types a JSON scalar of that
 kind loads as, a nested spec, a frozenset of the strings it may hold, FLOATS
 (finite numbers at any depth, as a float array) or INDICES (a flat list of JSON
-integers, as an index array).  Types match exactly, so true is not an integer,
-and numbers must be finite, since ``json.loads`` accepts NaN and Infinity."""
+integers, as an index array).  Types match exactly, so true is not an integer
+and not a number at any depth, and numbers must be finite, since
+``json.loads`` accepts NaN and Infinity."""
 
 import json
 import sys
@@ -67,10 +68,17 @@ def _floats(value, path: str) -> np.ndarray:
         array = np.asarray(value)
     except ValueError:  # ragged nesting
         array = np.asarray(None)
-    # refuses bool, str and object arrays (null, integers beyond int64)
-    if array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+    # refuses bool, str and object arrays (null, integers beyond int64), and
+    # true or false among numbers, which numpy reads as 1 or 0
+    if (array.dtype.kind not in "iuf" or not np.isfinite(array).all()
+            or _holds_bool(value)):
         raise fault(path, f"hold {FLOATS}", value)
     return array.astype(float)
+
+
+def _holds_bool(value) -> bool:
+    """Whether a JSON value is true or false or holds one at any depth."""
+    return type(value) is bool or type(value) is list and any(map(_holds_bool, value))
 
 
 def _indices(value, path: str) -> np.ndarray:

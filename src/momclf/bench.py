@@ -173,6 +173,8 @@ def run_k_sweep(k_values, n_runs: int, master_seed: int = 0,
 
     A K whose every run failed has mean accuracy None."""
     k_values = list(k_values)
+    if not k_values:
+        raise ValueError("k_values is empty")
     for k in k_values:
         if not 1 <= k <= (n_inliers + n_outliers) // 2:
             raise ValueError(f"k={k} outside [1, n/2]")
@@ -305,6 +307,8 @@ def run_timing_probe(algorithms, n: int, master_seed: int = 0, k: int = 20,
     """
     if n < k:
         raise ValueError("n must be at least k")
+    if not algorithms:
+        raise ValueError("algorithms is empty")
     for name in algorithms:
         if name not in METHODS:
             raise ValueError(f"unknown algorithm {name!r}; "

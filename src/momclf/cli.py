@@ -63,7 +63,16 @@ def seed(value):
 
 
 def int_list(raw: str) -> list:
-    return [int(v) for v in raw.split(",") if v.strip()]
+    """A non-empty comma-separated list of integers."""
+    return [int(v) for v in name_list(raw)]
+
+
+def name_list(raw: str) -> list:
+    """A non-empty comma-separated list of names."""
+    names = [v.strip() for v in raw.split(",") if v.strip()]
+    if not names:
+        raise ValueError("empty list")
+    return names
 
 
 def _label_column(raw: str):
@@ -179,8 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     timing = sub.add_parser("bench-timing", parents=[seeded],
                             help="wall-clock timing probe")
-    timing.add_argument("--algorithms", default="fast-klr-mom,klr-mom",
-                        type=lambda raw: [v.strip() for v in raw.split(",") if v.strip()],
+    timing.add_argument("--algorithms", default="fast-klr-mom,klr-mom", type=name_list,
                         help="comma-separated algorithm names")
     timing.add_argument("--n", type=int, default=4000)
     timing.add_argument("--k", type=int, default=20)

@@ -7,9 +7,9 @@ holds only that expansion: 12.7 KB for a fast model at n=4000, K=20, not the
 are built, except by the full-Gram baseline ``optim.klr_mom_train``.
 
 Memory contract: ``gram``, the only builder of a training Gram, allocates
-its one output array plus one RBF finish step (about ``_FINISH_ENTRIES``
-float64 entries) of scratch, and a C-ordered copy of X when X is strided;
-the matrix is built in place in its output from one BLAS ``syrk``.
+its output plus one RBF finish step (about ``_FINISH_ENTRIES`` float64
+entries) of scratch at every size, and a C-ordered copy of X when X is
+strided; the matrix is built in its output from one BLAS ``syrk``.
 ``kernel_model_score`` streams the test points through one product tile
 (about ``_TILE_ENTRIES`` entries) and one finish step of scratch, so it
 never holds the n_test x n_support kernel matrix.  Both compute the squared
@@ -34,12 +34,14 @@ MODEL_FORMAT = 2
 
 KERNEL_KINDS = ("linear", "rbf")
 
-# Entries per row tile of a kernel product: 2 MB of float64.  It sets where
-# ``gram`` leaves its one-band path and the rows of each scoring product.
+# Entries per row tile of a scoring product: 2 MB of float64.
 _TILE_ENTRIES = 2**18
 # Entries per step of the elementwise RBF finish: 256 KB of float64, so a
 # step and its scratch stay in cache through the finish's passes.
 _FINISH_ENTRIES = 2**15
+# Rows per band of a training Gram, so a diagonal tile fits one finish step.
+_BAND_ROWS = math.isqrt(_FINISH_ENTRIES)
+_BELOW = np.tri(_BAND_ROWS, k=-1, dtype=bool)  # below a band's diagonal
 
 # Active log of (row_indices, col_indices) pairs for every Gram evaluation,
 # used by tests to verify that block algorithms never touch cross-block
@@ -174,63 +176,36 @@ def kernel_eval(spec: KernelSpec, x1, x2) -> float:
 
 
 def gram(spec: KernelSpec, X, idx=None) -> np.ndarray:
-    """The training Gram (kappa(x_i, x_j))_{i,j} of the rows of X.
+    """The training Gram (kappa(x_i, x_j))_{i,j} of the rows of X, exactly
+    symmetric, built in its output plus one finish step of scratch.
 
-    ``idx`` holds the training indices of the rows; it is only used for call
-    recording.  The rows are read in C order, so the result does not depend
-    on how X is strided, and it is exactly symmetric.  While the matrix fits
-    one row band it is numpy's ``X @ X.T`` (a BLAS ``syrk`` and a mirror)
-    finished in place; a larger one is ``_symmetric_gram``'s.  Memory: the
-    output plus one finish step of scratch.
+    ``idx`` labels the rows for call recording only.  X is read in C order,
+    so its strides do not matter.  One BLAS ``syrk``, the call numpy's
+    ``X @ X.T`` makes, fills one triangle.  Each band of rows [r0, r1) then
+    mirrors its diagonal tile, finishes only its columns r0 and up, and
+    copies its part right of the tile below it; a2_i + a2_j is commutative,
+    so each entry is the untiled formula's.
     """
     if _gram_log is not None:
         _gram_log.append((idx, idx))
     X = np.ascontiguousarray(X, dtype=float)
-    if X.shape[0] ** 2 > _TILE_ENTRIES:
-        return _symmetric_gram(spec, X)
-    G = X @ X.T
-    if spec.kind == "rbf":
-        x2 = _sq_norms(X)
-        scratch = np.empty(_finish_entries(*G.shape))
-        _rbf_in_place(spec.gamma, G, x2, x2, scratch)
-    return G
-
-
-def _symmetric_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    """``gram(spec, X)`` beyond one row band: one BLAS ``syrk``, then the
-    RBF finish and the mirror, one row band at a time.
-
-    ``syrk`` fills one triangle, with the values of the triangle numpy's
-    ``X @ X.T`` computes by the same call before it mirrors it.  A band of
-    rows [r0, r1) copies its diagonal tile's upper half into its lower
-    half, finishes only its columns r0 and up, so half the entries pay the
-    RBF passes, and copies its part right of the diagonal tile below it.
-    Each entry is the untiled formula's, since a2_i + a2_j is commutative.
-
-    The product comes from scipy's BLAS and a one-band ``gram`` takes it
-    from numpy's, so the two equal ``X @ X.T`` bit for bit only while both
-    libraries' ``dsyrk`` give the same bits; pip wheels ship each with its
-    own OpenBLAS.  The result is exactly symmetric on any BLAS.
-    """
     n = X.shape[0]
     # syrk sets the lower triangle of a Fortran-ordered output, which it does
-    # not read at beta = 0, so it need not be zeroed.  The transpose is a
-    # C-ordered matrix whose upper triangle is set.
-    G = dsyrk(1.0, X.T, c=np.empty((n, n), order="F"), trans=1, lower=1,
-              overwrite_c=1).T
-    step = _tile_rows(n)
-    below = np.tri(min(step, n), k=-1, dtype=bool)
+    # not read at beta = 0, so the transpose's upper triangle is set.  It
+    # refuses an empty input, whose product is 0.
+    G = (dsyrk(1.0, X.T, c=np.empty((n, n), order="F"), trans=1, lower=1,
+               overwrite_c=1).T if X.size else np.zeros((n, n)))
     # The scratch holds the diagonal tile's transpose (copying a view onto
-    # itself would make numpy allocate a second tile) or one finish step.
-    scratch = np.empty(max(step * step, _finish_entries(n, n)))
+    # itself would make numpy allocate a second tile), then one finish step.
+    scratch = np.empty(_finish_entries(n, n))
     if spec.kind == "rbf":
         x2 = _sq_norms(X)
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
+    for r0 in range(0, n, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, n)
         diag = G[r0:r1, r0:r1]
-        diag_t = scratch[: (r1 - r0) ** 2].reshape(r1 - r0, r1 - r0)
+        diag_t = scratch[: diag.size].reshape(diag.shape)
         np.copyto(diag_t, diag.T)
-        np.copyto(diag, diag_t, where=below[: r1 - r0, : r1 - r0])
+        np.copyto(diag, diag_t, where=_BELOW[: r1 - r0, : r1 - r0])
         if spec.kind == "rbf":
             _rbf_in_place(spec.gamma, G[r0:r1, r0:], x2[r0:r1], x2[r0:], scratch)
         G[r1:, r0:r1] = G[r0:r1, r1:].T

@@ -236,6 +236,13 @@ def test_timing_probe_unknown_algorithm():
         run_timing_probe(["svm"], n=100)
 
 
+def test_bench_drivers_refuse_an_empty_list():
+    with pytest.raises(ValueError, match="algorithms is empty"):
+        run_timing_probe([], n=100)
+    with pytest.raises(ValueError, match="k_values is empty"):
+        run_k_sweep([], 1, n_inliers=40, n_outliers=0, t=10)
+
+
 def test_report_json_and_csv(tmp_path):
     report = ExperimentReport(name="demo",
                               records=[{"run": 0, "method": "a", "accuracy": 0.5},

@@ -366,6 +366,20 @@ def test_bench_list_flag_of_a_non_integer_is_a_usage_error(tmp_path, capsys, arg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench-timing", "--algorithms", ","],
+    ["bench-ksweep", "--runs", "1", "--k-values", ","],
+], ids=["algorithms", "k-values"])
+def test_bench_list_flag_of_no_values_is_a_usage_error(tmp_path, capsys, argv):
+    # the sweep once wrote a report of no records, and the probe failed in min()
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--output", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}: invalid" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_ksweep_rejects_a_repeated_k(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["bench-ksweep", "--k-values", "10,10", "--runs", "1",

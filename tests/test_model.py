@@ -211,18 +211,22 @@ def test_training_gram_is_exactly_symmetric(spec, n):
     assert np.array_equal(G, G.T)
 
 
-# At n = TILE_SIDE one row band of the training Gram is the whole matrix, the
-# largest that numpy's X @ X.T builds; one point more makes two bands of
-# scipy's syrk, the second of two rows, so these sizes check that the two BLAS
-# builds agree.
+# Training Grams run in bands of BAND_ROWS rows: the sizes hold less than one
+# band, one band, one band and a row, two bands and two bands and a row; 200
+# is the fast engine's block at n = 4000, K = 20, and 511 to 513 points
+# straddle the largest Gram that numpy's X @ X.T once built whole.
+BAND_ROWS = math.isqrt(_FINISH_ENTRIES)
 TILE_SIDE = math.isqrt(_TILE_ENTRIES)
 
 
 @pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
 @pytest.mark.parametrize("p", [1, 3, 7])
-@pytest.mark.parametrize("n", [1, TILE_SIDE - 1, TILE_SIDE, TILE_SIDE + 1, 2001])
+@pytest.mark.parametrize("n", [1, BAND_ROWS - 1, BAND_ROWS, BAND_ROWS + 1, 200,
+                               2 * BAND_ROWS, 2 * BAND_ROWS + 1, TILE_SIDE - 1,
+                               TILE_SIDE, TILE_SIDE + 1, 2001])
 @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
 def test_training_gram_bitwise_and_symmetric_across_shapes(spec, p, n, strided):
+    # scipy's syrk gives the bits of numpy's X @ X.T, the reference here
     Z = np.random.default_rng(n + p).standard_normal((n, 2 * p))
     X = Z[:, ::2] if strided else np.ascontiguousarray(Z[:, ::2])
     G = gram(spec, X)
@@ -238,16 +242,24 @@ def test_training_gram_of_no_points_is_empty(spec):
     assert gram(spec, X).shape == (0, 0)
 
 
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+def test_training_gram_of_points_without_features_is_the_formula(spec):
+    # a CSV of only a label column loads; syrk refuses its empty product
+    X = np.empty((4, 0))
+    assert np.array_equal(gram(spec, X), untiled_gram_reference(spec, X, X))
+
+
 def test_gram_peak_memory_is_output_plus_one_tile():
+    # the scratch, plus numpy's ufunc buffers of 8192 entries per operand
     X = np.random.default_rng(9).standard_normal((1500, 2))
     G, peak = traced_peak(gram, KernelSpec(kind="rbf", gamma=0.5), X)
-    assert peak <= 1.5 * G.nbytes
+    assert peak <= G.nbytes + 2 * _FINISH_ENTRIES * 8
 
 
 @pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
 def test_one_band_training_gram_peak_memory_is_output_plus_one_tile(spec):
-    # at TILE_SIDE points the matrix is one row band, the largest that numpy's
-    # product builds
+    # 512 points: the largest Gram that numpy's X @ X.T once built whole in
+    # one band of 2**18 entries, now three bands of the one path
     X = np.random.default_rng(10).standard_normal((TILE_SIDE, 2))
     G, peak = traced_peak(gram, spec, X)
     assert peak <= G.nbytes + 1.5 * _TILE_ENTRIES * 8
@@ -259,7 +271,7 @@ def test_one_band_training_gram_peak_memory_is_output_plus_one_tile(spec):
     (2, 20_000),
     (100, 1000),  # steps of 32 rows: the step does not divide the rows
     (75, 3000),
-    (TILE_SIDE, TILE_SIDE),  # the old tile of 2**18 entries, one band
+    (TILE_SIDE, TILE_SIDE),  # the old tile of 2**18 entries
     (TILE_SIDE + 1, TILE_SIDE),
     (2, _TILE_ENTRIES),
     (1, _TILE_ENTRIES + 1),
@@ -280,9 +292,20 @@ def test_gram_rbf_finish_equals_untiled_formula_bitwise(n_rows, n_cols):
 
 @pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
 def test_one_band_gram_scratch_is_one_finish_step(spec):
+    # 512 points, the largest Gram that numpy's X @ X.T once built whole
     X = np.random.default_rng(12).standard_normal((TILE_SIDE, 2))
     G, peak = traced_peak(gram, spec, X)
     # the scratch, plus numpy's ufunc buffers of 8192 entries per operand
+    assert peak <= G.nbytes + 2 * _FINISH_ENTRIES * 8
+
+
+@pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
+@pytest.mark.parametrize("n", [1, 5, BAND_ROWS, 200, 2 * BAND_ROWS + 1])
+def test_training_gram_scratch_is_one_finish_step_at_every_size(spec, n):
+    # a band is capped at n rows: 2**18 // 5 rows of 5 points would ask for
+    # 2.7e9 entries of scratch
+    X = np.random.default_rng(12).standard_normal((n, 2))
+    G, peak = traced_peak(gram, spec, X)
     assert peak <= G.nbytes + 2 * _FINISH_ENTRIES * 8
 
 
@@ -298,8 +321,9 @@ def test_kernel_model_score_gram_tile_and_one_finish_step():
 
 
 def test_scipy_syrk_gives_the_bits_of_numpy_symmetric_product():
-    # The training Gram takes its product from scipy's dsyrk and matches
-    # numpy's X @ X.T only while the two libraries' BLAS builds agree.
+    # The training Gram takes its product from scipy's dsyrk, and the Gram
+    # tests compare it with numpy's X @ X.T, which agree while the two
+    # libraries' BLAS builds do.
     X = np.random.default_rng(11).standard_normal((1500, 3))
     G = dsyrk(1.0, X.T, trans=1, lower=1)
     assert np.array_equal(np.tril(G), np.tril(X @ X.T)), (
@@ -650,7 +674,8 @@ def test_kernel_model_score_never_holds_the_test_by_support_matrix():
 
 
 _WRONG_TYPES = ["x", True, None, {}, [True], 1.5]
-_MUTATIONS = ["none", "drop", "retype", "reshape", "non-finite", "truncate", "add-key"]
+_MUTATIONS = ["none", "drop", "retype", "reshape", "non-finite", "bool-leaf",
+              "truncate", "add-key"]
 
 
 def _key_paths(obj, prefix=()):
@@ -686,14 +711,15 @@ def test_model_from_json_returns_the_model_or_names_the_field(model_and_points,
         # alpha one longer than support, or any numeric field one level deeper
         grow = key == "alpha" and data.draw(st.booleans())
         parent[key] = parent[key] + [0.0] if grow else [parent[key]]
-    elif mutation == "non-finite":
-        # 10**400 is a JSON integer beyond the float range
+    elif mutation in ("non-finite", "bool-leaf"):
+        # one numeric leaf; 10**400 is a JSON integer beyond the float range,
+        # and numpy reads true among numbers as 1
         holder, index = parent, key
         while isinstance(holder[index], list):
             holder, index = holder[index], data.draw(
                 st.integers(0, len(holder[index]) - 1))
-        holder[index] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf,
-                                                   10**400]))
+        holder[index] = (True if mutation == "bool-leaf" else data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf, 10**400])))
     elif mutation == "add-key":
         obj["comment"] = "written by hand"
     text = json.dumps(obj)
