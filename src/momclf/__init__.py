@@ -30,7 +30,6 @@ from momclf.model import (
     KernelModel,
     KernelSpec,
     LinearModel,
-    block_kernel_matrices,
     kernel_eval,
     linear_score,
 )

@@ -84,7 +84,8 @@ def _label_column(raw: str):
 
 # Each option of ``train`` once: {name: (JSON kind, flag type, allowed values,
 # help)}.  Its flag is --name with "-" for "_", its config key the name and its
-# default that of ``optim.train``'s parameter of the same name.
+# default that of ``optim.train``'s parameter of the same name.  The flag type
+# also checks and converts the option's config value.
 TRAIN_OPTIONS = {
     "algo": (STRING, str, METHODS, None),
     "k": (INTEGER, int, None, "number of blocks"),
@@ -222,10 +223,7 @@ def _train_options(args) -> dict:
                 unknown = sorted(set(loaded) - set(TRAIN_OPTIONS))
                 if unknown:
                     raise ValueError(f"has unknown keys {unknown}")
-                for name, check in (("gamma", bandwidth), ("beta", regularization),
-                                    ("seed", seed)):
-                    if name in opts:
-                        opts[name] = check(opts[name])
+                opts = {name: TRAIN_OPTIONS[name][1](value) for name, value in opts.items()}
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.config}: config is not JSON ({exc})") from None
             except ValueError as exc:

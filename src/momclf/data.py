@@ -42,8 +42,8 @@ class Dataset:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise ValueError("X must be a non-empty (n, p) array")
+        if X.ndim != 2 or 0 in X.shape:
+            raise ValueError(f"X must be an (n, p) array with n, p >= 1, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise ValueError("y must have one label per row of X")
         if not np.all(np.isfinite(X)):
@@ -248,7 +248,8 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
     by default the column named "y" is used if a header declares one, else
     the last column.  Labels may be encoded {-1,1} or {0,1} (0 maps to -1).
     A header column named "is_outlier" is read back as ground-truth flags,
-    not as a feature.  Row order is preserved.
+    not as a feature.  A file with no feature column raises
+    CsvDimensionError.  Row order is preserved.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in map(str.strip, fh) if line]
@@ -291,6 +292,8 @@ def load_csv(path, label_column: str | int | None = None) -> Dataset:
         flag_idx = header.index("is_outlier")
         if flag_idx == label_idx:
             raise CsvParseError(f"{path}: is_outlier column cannot be the label")
+    if width == 1 + (flag_idx is not None):
+        raise CsvDimensionError(f"{path}: no feature column besides the label")
 
     rows, labels, flags = [], [], []
     for rownum, line in enumerate(lines, start=1 if header is None else 2):

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 
 from momclf._fields import FLOATS, NUMBER, fault, read_fields
-from momclf.data import Dataset, Partition
+from momclf.data import Partition
 
 # Version of the model JSON files this module writes and reads.
 MODEL_FORMAT = 2
@@ -94,7 +94,7 @@ class KernelSpec:
             raise ValueError("rbf kernel needs a finite gamma > 0")
 
 
-def kernel_for(X, kind: str = "rbf", gamma="auto") -> KernelSpec:
+def kernel_for(X, kind: str, gamma) -> KernelSpec:
     """The kernel ``kind`` for the points X: the one rule for an RBF
     bandwidth, which is a number, "auto" (1/p) or "median" (the median
     heuristic).  A linear kernel has no bandwidth."""
@@ -250,21 +250,6 @@ def _rbf_in_place(gamma: float, out: np.ndarray, a2, b2, scratch: np.ndarray):
         np.maximum(tile, 0.0, out=tile)
         tile *= -gamma
         np.exp(tile, out=tile)
-
-
-def block_kernel_matrices(ds: Dataset, partition: Partition, spec: KernelSpec):
-    """The K within-block Gram matrices N^k = (kappa(X_i, X_j))_{i,j in B_k}.
-
-    Storage is K * (n // K)^2 entries in total; the full Gram matrix is
-    never formed.  The fast engine builds only the blocks it selects, each
-    by this function's call ``gram(spec, X[idx], idx)``.
-    """
-    X, _ = ds.training_arrays()
-    mats = []
-    for j in range(partition.k):
-        idx = partition.block(j)
-        mats.append(gram(spec, X[idx], idx))
-    return mats
 
 
 def kernel_model_score(m: KernelModel, x):

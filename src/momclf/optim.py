@@ -464,8 +464,8 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     """Fast block-kernel logistic regression with MOM block selection.
 
     The partition is fixed once, and only the kernel matrices of the blocks
-    it selects are built: a block's matrix is built, by the call
-    ``block_kernel_matrices`` makes, when the block is first selected (or
+    it selects are built: a block's matrix is built, by
+    ``gram(cfg.kernel, X[idx], idx)``, when the block is first selected (or
     is the final objective's median block) and is kept from then on.  Each
     block is scored against its own.  Returns (model, trace); the model's
     active block is the median block of the last step.

@@ -555,6 +555,19 @@ def test_train_names_beta_when_the_irls_system_is_singular(tmp_path, capsys, alg
     assert not model.exists()
 
 
+@pytest.mark.parametrize("algo", ["mom-logistic", "fast-klr-mom"])
+def test_train_refuses_a_csv_without_a_feature_column(tmp_path, capsys, algo):
+    data = tmp_path / "nofeat.csv"
+    data.write_text("y\n1\n-1\n1\n-1\n1\n-1\n")
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", "--algo", algo, "--k", "2", "--t", "3", "--data", str(data),
+                 "--model", str(model)]) == 1
+    assert (f"error: {data}: no feature column besides the label"
+            in capsys.readouterr().err)
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "--kind", "toy"],
     ["bench-robustness", "--runs", "1"],
@@ -583,6 +596,22 @@ def test_train_config_of_every_default_writes_the_model_of_no_config(tmp_path, a
                                "seed": 0}))
     outputs = []
     for argv in (["--algo", algo], ["--config", str(cfg)]):
+        model, trace = tmp_path / f"m{len(outputs)}.json", tmp_path / f"t{len(outputs)}.jsonl"
+        assert main(["train", *argv, "--data", str(data), "--model", str(model),
+                     "--trace", str(trace)]) == 0
+        outputs.append((model.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_train_config_integer_eta0_writes_the_model_of_the_flag(tmp_path):
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "60", "--outliers", "4",
+          "--seed", "1", "--output", str(data)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algo": "mom-logistic", "k": 8, "t": 50, "eta0": 1}))
+    outputs = []
+    for argv in (["--algo", "mom-logistic", "--k", "8", "--t", "50", "--eta0", "1"],
+                 ["--config", str(cfg)]):
         model, trace = tmp_path / f"m{len(outputs)}.json", tmp_path / f"t{len(outputs)}.jsonl"
         assert main(["train", *argv, "--data", str(data), "--model", str(model),
                      "--trace", str(trace)]) == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +30,12 @@ def test_dataset_invariants():
         Dataset(X=np.array([[np.nan, 0.0]]), y=np.array([1.0]))
     ds = Dataset(X=np.zeros((3, 2)), y=np.array([1.0, -1.0, 1.0]))
     assert ds.n == 3 and ds.p == 2 and len(ds) == 3
+
+
+@pytest.mark.parametrize("shape", [(6, 0), (0, 2)], ids=["no-columns", "no-rows"])
+def test_dataset_refuses_an_x_without_rows_or_columns_naming_its_shape(shape):
+    with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+        Dataset(X=np.zeros(shape), y=np.ones(shape[0]))
 
 
 @pytest.mark.parametrize("flags, bad", [
@@ -172,6 +180,18 @@ def test_load_csv_errors(tmp_path):
     bad_field.write_text("x0,x1,y\n1,oops,1\n")
     with pytest.raises(CsvParseError, match="row 2"):
         load_csv(bad_field)
+
+
+# the second data row of each file is not a valid label, so the column check
+# is seen to come before any row is parsed
+@pytest.mark.parametrize("text", ["y\n1\nbad\n", "y,is_outlier\n1,0\nbad,1\n",
+                                  "1\nbad\n"], ids=["y", "y-is-outlier", "headerless"])
+def test_load_csv_refuses_a_file_without_a_feature_column(tmp_path, text):
+    path = tmp_path / "nofeat.csv"
+    path.write_text(text)
+    with pytest.raises(CsvDimensionError,
+                       match=f"^{re.escape(str(path))}: no feature column besides the label$"):
+        load_csv(path)
 
 
 @pytest.mark.parametrize("flag", ["nan", "2", "-1", "0.5", "yes", ""])

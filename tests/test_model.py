@@ -14,7 +14,6 @@ from momclf.model import (
     KernelModel,
     KernelSpec,
     LinearModel,
-    block_kernel_matrices,
     gram,
     kernel_eval,
     kernel_for,
@@ -81,7 +80,7 @@ def test_kernel_spec_validation():
         KernelSpec(kind="poly")
     with pytest.raises(ValueError):
         KernelSpec(kind="rbf", gamma=0.0)
-    assert kernel_for(np.zeros((1, 4))).gamma == 0.25
+    assert kernel_for(np.zeros((1, 4)), "rbf", "auto").gamma == 0.25
     # the kind has no default; gamma keeps 1, which a linear kernel carries
     with pytest.raises(TypeError):
         KernelSpec()
@@ -99,7 +98,7 @@ def test_kernel_spec_refuses_an_rbf_gamma_that_is_not_finite_and_positive(gamma)
 
 def test_kernel_for_resolves_each_bandwidth_once():
     X = np.random.default_rng(3).standard_normal((30, 4))
-    assert kernel_for(X) == KernelSpec(kind="rbf", gamma=0.25)
+    assert kernel_for(X, "rbf", "auto") == KernelSpec(kind="rbf", gamma=0.25)
     assert kernel_for(X, "rbf", "median") == KernelSpec(
         kind="rbf", gamma=median_heuristic_gamma(X))
     assert kernel_for(X, "rbf", 2) == KernelSpec(kind="rbf", gamma=2.0)
@@ -107,7 +106,7 @@ def test_kernel_for_resolves_each_bandwidth_once():
     for gamma in ("auto", "median", 0.0):
         assert kernel_for(X, "linear", gamma) == KernelSpec(kind="linear")
     with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
-        kernel_for(X, "poly")
+        kernel_for(X, "poly", "auto")
 
 
 def test_rbf_gram_is_psd():
@@ -362,22 +361,6 @@ def _dataset(n, p, seed):
                    y=rng.choice([-1.0, 1.0], size=n))
 
 
-def test_block_kernel_matrices_shapes_and_values():
-    ds = _dataset(6, 2, 3)
-    part = random_equipartition(6, 3, np.random.default_rng(0))
-    spec = KernelSpec(kind="rbf", gamma=0.5)
-    mats = block_kernel_matrices(ds, part, spec)
-    assert len(mats) == 3
-    for j, mat in enumerate(mats):
-        assert mat.shape == (2, 2)
-        np.testing.assert_allclose(np.diag(mat), 1.0, atol=1e-15)
-        idx = part.block(j)
-        for a in range(2):
-            for b in range(2):
-                assert mat[a, b] == pytest.approx(
-                    kernel_eval(spec, ds.X[idx[a]], ds.X[idx[b]]), rel=1e-12)
-
-
 @pytest.mark.parametrize("spec", GRAM_KERNELS, ids=["rbf", "linear"])
 def test_block_kernel_gram_is_exactly_symmetric(spec):
     # 300-point blocks, where a general product of two copies of a block's
@@ -385,17 +368,11 @@ def test_block_kernel_gram_is_exactly_symmetric(spec):
     # matrix, and design @ alpha and the score update read all of it.
     ds = generate_gaussians(1500, 1)
     part = random_equipartition(ds.n, 5, np.random.default_rng(0))
-    for j, mat in enumerate(block_kernel_matrices(ds, part, spec)):
+    for idx in part.blocks:
+        rows = ds.X[idx]
+        mat = gram(spec, rows, idx)
         assert np.array_equal(mat, mat.T)
-        rows = ds.X[part.block(j)]
         assert np.array_equal(mat, untiled_gram_reference(spec, rows, rows))
-
-
-def test_block_kernel_storage_total():
-    ds = _dataset(50, 2, 4)
-    part = random_equipartition(50, 7, np.random.default_rng(1))
-    mats = block_kernel_matrices(ds, part, KernelSpec(kind="linear"))
-    assert sum(m.size for m in mats) == 7 * (50 // 7) ** 2
 
 
 def test_predict_sign_convention_and_rescaling_invariance():
@@ -411,7 +388,8 @@ def test_record_gram_calls_tracks_indices():
     ds = _dataset(8, 2, 7)
     part = random_equipartition(8, 2, np.random.default_rng(5))
     with record_gram_calls() as log:
-        block_kernel_matrices(ds, part, KernelSpec(kind="linear"))
+        for idx in part.blocks:
+            gram(KernelSpec(kind="linear"), ds.X[idx], idx)
     assert len(log) == 2
     for j, (rows, cols) in enumerate(log):
         assert np.array_equal(rows, part.block(j)) and np.array_equal(cols, rows)

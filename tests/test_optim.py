@@ -25,7 +25,6 @@ from momclf.mom import block_means, median_block_index, mom_estimate
 from momclf.model import (
     KernelSpec,
     LinearModel,
-    block_kernel_matrices,
     gram,
     kernel_for,
     model_to_json,
@@ -527,7 +526,7 @@ def test_train_default_kernel_is_kernel_for_the_data(method):
     model, trace = train(method, ds, 5, 10, seed=1, record_selections=True)
     engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
     direct, direct_trace = engine(ds, FastKlrConfig(
-        k=5, t=10, kernel=kernel_for(ds.X), schedule=schedule, seed=1,
+        k=5, t=10, kernel=kernel_for(ds.X, "rbf", "auto"), schedule=schedule, seed=1,
         record_selections=True))
     assert model.kernel == direct.kernel == KernelSpec(kind="rbf", gamma=0.5)
     assert model.alpha.tobytes() == direct.alpha.tobytes()
@@ -589,7 +588,7 @@ def _engine_at_its_defaults(method, ds, k, t):
     if method == "mom-hinge":
         return mom_gd_train(ds, init, MomGdConfig(k=k, t=t, loss=LossKind.HINGE))
     engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
-    return engine(ds, FastKlrConfig(k=k, t=t, kernel=kernel_for(ds.X)))
+    return engine(ds, FastKlrConfig(k=k, t=t, kernel=kernel_for(ds.X, "rbf", "auto")))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -838,11 +837,9 @@ def test_fast_klr_builds_each_selected_block_gram_once(monkeypatch):
     assert logged[:len(first_selected)] == first_selected
     assert len(logged) <= len(first_selected) + 1
     assert len(logged) < part.k
-    mats = block_kernel_matrices(ds, part, cfg.kernel)
     for j, (idx, mat) in zip(logged, built):
         assert np.array_equal(idx, part.block(j))
-        assert np.array_equal(mat, gram(cfg.kernel, ds.X[idx]))
-        assert np.array_equal(mat, mats[j])
+        assert np.array_equal(mat, gram(cfg.kernel, ds.X[idx], idx))
 
 
 @pytest.mark.parametrize("method", KERNEL_METHODS)
@@ -1037,7 +1034,7 @@ def _exact_score_klr(ds, cfg, fast):
     if fast:
         part = next(partitions)[1]
         partitions = itertools.repeat((None, part))
-        mats = block_kernel_matrices(ds, part, cfg.kernel)
+        mats = [gram(cfg.kernel, X[idx], idx) for idx in part.blocks]
 
         def design(j, idx):
             return mats[j]
