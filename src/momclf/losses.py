@@ -20,7 +20,7 @@ class LossKind(enum.Enum):
 
 
 def _check_finite(score):
-    if not np.all(np.isfinite(score)):
+    if not np.isfinite(score).all():
         raise ValueError("score must be finite")
 
 

@@ -50,10 +50,8 @@ def selection_counts(trace: TrainTrace, n: int) -> SelectionCounts:
     if not trace.steps:
         raise ValueError("trace has no recorded selections "
                          "(train with record_selections=True)")
-    counts = np.zeros(n, dtype=np.int64)
-    for rec in trace.steps:
-        counts[rec.block] += 1
-    return SelectionCounts(counts=counts)
+    blocks = np.concatenate([rec.block for rec in trace.steps])
+    return SelectionCounts(counts=np.bincount(blocks, minlength=n))
 
 
 def flag_outliers(sc: SelectionCounts, threshold: int) -> np.ndarray:
