@@ -11,7 +11,12 @@ All randomness flows through numpy's PCG64 generator
 (``numpy.random.default_rng``); any operation seeded with the same 64-bit
 integer reproduces its output bit for bit on the same numpy and scipy
 builds.  Other builds may round BLAS products differently: every training
-Gram of both kernel engines, one scipy BLAS ``dsyrk``, depends on them.
+Gram of both kernel engines, one scipy BLAS ``dsyrk``, depends on them.  The
+logistic function, ``losses.expit``, is computed with numpy's ``exp``, so its
+bits follow numpy's build and the CPU's SIMD support.
+
+Importing the package loads numpy alone; ``scipy.linalg`` loads the first
+time a kernel method runs.
 """
 
 from momclf.data import (

@@ -17,10 +17,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from momclf.data import Dataset, generate_gaussians, generate_moons, generate_toy
-from momclf.losses import LossKind, loss_grad_score, loss_value
+from momclf.losses import LossKind, expit, loss_grad_score, loss_value
 from momclf.model import LinearModel, linear_score, predict
 from momclf.optim import KERNEL_METHODS, METHODS, NumericError, train
 

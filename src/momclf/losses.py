@@ -10,13 +10,22 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import expit
 
 
 class LossKind(enum.Enum):
     ZERO_ONE = "zero-one"
     HINGE = "hinge"
     LOGISTIC = "logistic"
+
+
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)), scipy.special.expit's own
+    formula.  Below about -709.8, exp(-x) overflows to inf without a warning
+    and the result is 0, as scipy's is.  Its bits follow numpy's exp, which
+    may differ from libm's in the last bit.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _check_finite(score):

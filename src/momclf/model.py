@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from momclf._fields import FLOATS, NUMBER, fault, read_fields
 from momclf.data import Partition
@@ -186,6 +185,8 @@ def gram(spec: KernelSpec, X, idx=None) -> np.ndarray:
     copies its part right of the tile below it; a2_i + a2_j is commutative,
     so each entry is the untiled formula's.
     """
+    from scipy.linalg.blas import dsyrk  # here, so that only a kernel method loads it
+
     if _gram_log is not None:
         _gram_log.append((idx, idx))
     X = np.ascontiguousarray(X, dtype=float)

@@ -31,12 +31,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from momclf._fields import INDICES, INTEGER, NUMBER, fault, read_fields
 from momclf.data import Dataset, Partition, random_equipartition
-from momclf.losses import LossKind, loss_grad_score, loss_value
+from momclf.losses import LossKind, expit, loss_grad_score, loss_value
 from momclf.mom import block_means, median_block_index, mom_estimate
 from momclf.model import (
     KernelModel,
@@ -255,7 +253,9 @@ def _mom_descent(y, cfg, loss: LossKind, params: tuple, scores, partitions, step
     parameters after a step on the median block ``idx`` and the scores at
     those parameters, so the loop never rescores from scratch.  Each step
     picks the block whose mean ``loss`` is the median, steps on it and
-    records the selection when ``cfg.record_selections`` is set.  Returns
+    records the selection when ``cfg.record_selections`` is set.  Parameters
+    or scores that are not finite after a step raise NumericError naming the
+    iteration.  Returns
     (params, scores, last partition, last median block, records).
     """
     steps = []
@@ -266,6 +266,9 @@ def _mom_descent(y, cfg, loss: LossKind, params: tuple, scores, partitions, step
         params, scores = step(params, scores, k_med, idx, cfg.schedule.rate(t))
         if not all(np.isfinite(v).all() for v in params):
             raise NumericError(f"non-finite parameters at iteration {t}")
+        # finite parameters can still give overflowing scores
+        if not np.isfinite(scores).all():
+            raise NumericError(f"non-finite scores at iteration {t}")
         if cfg.record_selections:
             steps.append(IterationRecord(t=t, partition_seed=part_seed,
                                          k_med=k_med, block=idx.copy(),
@@ -401,6 +404,8 @@ def _irls_update(design, alpha_block, y_block, beta, eta):
     A system that rounding leaves singular, as a rank-deficient kernel with
     a tiny beta can, raises NumericError naming beta.
     """
+    import scipy.linalg  # here, so that only a kernel method loads it
+
     s = design @ alpha_block
     pi = expit(s)
     w = np.maximum(pi * (1.0 - pi), IRLS_WEIGHT_FLOOR)

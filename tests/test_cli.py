@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import momclf
 from momclf.cli import main
 from momclf.data import load_csv
 from momclf.model import predict
@@ -705,3 +711,32 @@ def test_train_full_klr_trace_meta_is_strict_json(tmp_path):
     meta_line = trace.read_text().splitlines()[0]
     meta = json.loads(meta_line, parse_constant=reject)["meta"]
     assert np.isfinite(meta["final_objective"])
+
+
+def test_cli_loads_scipy_linalg_only_for_a_kernel_method(tmp_path):
+    # A fresh interpreter: this one has scipy loaded by the other tests
+    code = textwrap.dedent("""
+        import sys
+        import momclf.cli
+
+        def loaded():
+            return [m for m in ("scipy.linalg", "scipy.special") if m in sys.modules]
+
+        assert loaded() == [], loaded()
+        main = momclf.cli.main
+        main(["generate", "--kind", "toy", "--inliers", "60", "--outliers", "3",
+              "--seed", "1", "--output", "toy.csv"])
+        assert main(["train", "--algo", "mom-logistic", "--k", "5", "--t", "20",
+                     "--data", "toy.csv", "--model", "linear.json"]) == 0
+        assert loaded() == [], loaded()
+        assert main(["train", "--algo", "fast-klr-mom", "--k", "5", "--t", "5",
+                     "--data", "toy.csv", "--model", "kernel.json"]) == 0
+        assert loaded() == ["scipy.linalg"], loaded()
+    """)
+    src = str(Path(momclf.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stdout

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momclf.losses import LossKind, loss_grad_score, loss_value
+from momclf.losses import LossKind, expit, loss_grad_score, loss_value
 
 
 def loss_oracle(kind, s, y):
@@ -150,3 +152,33 @@ def test_logistic_extreme_margins_match_logaddexp_without_warnings(m):
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         got = loss_value(LossKind.LOGISTIC, np.array([m]), np.ones(1))
         assert got[0] == np.logaddexp(0.0, -m)
+
+
+EXPIT_POINTS = [0.0, -0.0, 30.0, -30.0, 709.5, -709.5, 745.0, -745.0, 1000.0,
+                -1000.0, math.inf, -math.inf]
+
+
+def test_expit_within_1_ulp_of_scipy_at_the_extreme_points_without_warnings():
+    x = np.array(EXPIT_POINTS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(x)
+        assert expit(-1000.0) == 0.0
+    want = scipy.special.expit(x)
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
+
+
+def test_expit_within_4_eps_of_scipy_on_a_dense_grid():
+    # Both compute 1 / (1 + exp(-x)); only the exp differs (numpy's SIMD exp
+    # against libm's).  Carried through the sum and the reciprocal, a 1-ulp
+    # exp can move the result by up to 2 eps relative, which is up to 4 of
+    # the result's ulps where its mantissa is small.
+    x = np.linspace(-745.0, 745.0, 1_000_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expit(x)
+    want = scipy.special.expit(x)
+    normal = want >= np.finfo(float).tiny
+    rel = np.abs(got - want)[normal] / want[normal]
+    assert rel.max() <= 4 * np.finfo(float).eps
+    assert np.array_equal(got[~normal] == 0.0, want[~normal] == 0.0)

@@ -7,10 +7,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
+import momclf.losses
 import momclf.optim
 from momclf.bench import accuracy
 from momclf.data import (
@@ -20,7 +21,7 @@ from momclf.data import (
     generate_toy,
     random_equipartition,
 )
-from momclf.losses import LossKind, loss_grad_score, loss_value
+from momclf.losses import LossKind, expit, loss_grad_score, loss_value
 from momclf.mom import block_means, median_block_index, mom_estimate
 from momclf.model import (
     KernelSpec,
@@ -211,6 +212,46 @@ def test_vectorized_logistic_loss_drives_the_same_steps_as_logaddexp(monkeypatch
     objectives = [[r.objective for r in tr.steps] + [tr.final_objective]
                   for tr in (tra, trb)]
     np.testing.assert_allclose(*objectives, rtol=1e-15, atol=0)
+
+
+def test_numpy_logistic_drives_the_same_steps_as_scipy_expit(monkeypatch):
+    # The numpy logistic differs from scipy.special.expit only in the last
+    # bits of exp; the gradient moves by an ulp or so, and no median block
+    # flips.
+    ds = generate_toy(300, 15, 4)
+    cfg = MomGdConfig(k=15, t=400, seed=21, record_selections=True)
+    runs = [mom_gd_train(ds, LinearModel.zeros(2), cfg)]
+    monkeypatch.setattr(momclf.losses, "expit", scipy.special.expit)
+    runs.append(mom_gd_train(ds, LinearModel.zeros(2), cfg))
+    (a, tra), (b, trb) = runs
+    assert [r.k_med for r in tra.steps] == [r.k_med for r in trb.steps]
+    np.testing.assert_allclose(np.r_[a.u, a.b], np.r_[b.u, b.b], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("engine", [fast_klr_mom_train, klr_mom_train],
+                         ids=["fast", "full"])
+def test_numpy_logistic_drives_the_same_kernel_steps_as_scipy_expit(monkeypatch,
+                                                                    engine):
+    ds = generate_toy(300, 15, 4)
+    cfg = FastKlrConfig(k=5, t=30, kernel=KernelSpec(kind="rbf", gamma=0.5),
+                        seed=21, record_selections=True)
+    runs = [engine(ds, cfg)]
+    monkeypatch.setattr(momclf.optim, "expit", scipy.special.expit)
+    runs.append(engine(ds, cfg))
+    (a, tra), (b, trb) = runs
+    assert [r.k_med for r in tra.steps] == [r.k_med for r in trb.steps]
+    np.testing.assert_allclose(a.alpha, b.alpha, rtol=1e-9, atol=0)
+
+
+def test_overflowing_scores_raise_numeric_error_naming_the_iteration():
+    # Finite parameters of scale 1e160 give scores that overflow to inf
+    rng = np.random.default_rng(0)
+    ds = Dataset(X=1e160 * rng.standard_normal((50, 2)),
+                 y=rng.choice([-1.0, 1.0], size=50))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(momclf.optim.NumericError,
+                           match="non-finite scores at iteration 0"):
+            train("mom-logistic", ds, k=5, t=20, eta0=1.0)
 
 
 def test_trace_records_and_jsonl_round_trip(tmp_path):
@@ -897,6 +938,8 @@ def test_fast_klr_determinism():
     (KernelSpec(kind="linear"), 3),  # block of 30 > p: rank-deficient Gram
 ], ids=["rbf", "linear-wide"])
 def test_irls_target_solves_penalized_system(spec, p):
+    # pi comes from the package's own logistic function: this pins the solve,
+    # not the last bits of exp
     rng = np.random.default_rng(24)
     X = rng.standard_normal((30, p))
     y = rng.choice([-1.0, 1.0], size=30)
@@ -914,7 +957,8 @@ def test_irls_target_solves_penalized_system(spec, p):
 
 def _copying_irls_update(design, alpha_block, y_block, beta, eta):
     """The IRLS step with its matrix built as design + diag(beta / w), which
-    ``solve`` checks and copies into Fortran order before it factors."""
+    ``solve`` checks and copies into Fortran order before it factors.  Its pi
+    comes from the package's logistic function, whose bits the step shares."""
     s = design @ alpha_block
     pi = expit(s)
     w = np.maximum(pi * (1.0 - pi), IRLS_WEIGHT_FLOOR)
