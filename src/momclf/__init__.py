@@ -31,20 +31,13 @@ from momclf.data import (
 )
 from momclf.losses import LossKind, loss_grad_score, loss_value
 from momclf.mom import block_means, median_block_index, mom_estimate
-from momclf.model import (
-    KernelModel,
-    KernelSpec,
-    LinearModel,
-    kernel_eval,
-    linear_score,
-)
+from momclf.model import KernelModel, KernelSpec, LinearModel, linear_score
 from momclf.optim import (
     METHODS,
     FastKlrConfig,
     MomGdConfig,
     StepSchedule,
     TrainTrace,
-    expected_mom_objective,
     fast_klr_mom_train,
     klr_mom_train,
     median_block_gradient_check,

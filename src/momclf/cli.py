@@ -18,7 +18,7 @@ import numpy as np
 from momclf import bench, optim
 from momclf._fields import INTEGER, NUMBER, NUMBER_OR_STRING, STRING, fault, read_fields
 from momclf.data import generate_gaussians, generate_moons, generate_toy, load_csv, write_csv
-from momclf.model import KERNEL_KINDS, model_from_json, model_to_json, predict
+from momclf.model import KERNEL_KINDS, bandwidth, model_from_json, model_to_json, predict
 from momclf.optim import METHODS, TrainTrace
 from momclf.outlier import (
     detection_metrics,
@@ -29,21 +29,6 @@ from momclf.outlier import (
 
 
 # argparse names a bad flag value by its type's __name__: no leading underscore
-def bandwidth(value):
-    """An RBF bandwidth: a finite number > 0, "auto" or "median".  The type of
-    --gamma, which reads the number from its text, and the check of a
-    config's gamma."""
-    if value in ("auto", "median"):
-        return value
-    try:
-        gamma = float(value)
-    except ValueError:
-        raise fault("gamma", 'be a JSON number, "auto" or "median"', value) from None
-    if not 0 < gamma < math.inf:
-        raise fault("gamma", "be finite and > 0", value)
-    return gamma
-
-
 def regularization(value):
     """A regularization strength: a finite number > 0.  The type of --beta,
     which reads the number from its text, and the check of a config's beta."""

@@ -1,8 +1,9 @@
-"""Classification losses: the 0-1 loss and its convex surrogates.
+"""Classification losses: hinge and logistic, the convex surrogates of the
+0-1 loss that MOM descent trains on.
 
-Hinge and logistic are convex and 1-Lipschitz in the real-valued score
-s = f(x), so per-sample score-gradients are bounded by 1 everywhere.  The
-0-1 loss is evaluation-only and has no gradient.
+Both are convex and 1-Lipschitz in the real-valued score s = f(x), so
+per-sample score-gradients are bounded by 1 everywhere.  ``model.predict``
+alone turns a score into a label.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 
 
 class LossKind(enum.Enum):
-    ZERO_ONE = "zero-one"
     HINGE = "hinge"
     LOGISTIC = "logistic"
 
@@ -36,8 +36,7 @@ def _check_finite(score):
 def loss_value(kind: LossKind, score, y):
     """Per-sample loss at real score(s) ``score`` with label(s) ``y``.
 
-    Zero-one counts sign mismatches with sign(0) = +1; hinge is
-    max(0, 1 - y*s); logistic is log(1 + exp(-y*s)), computed as
+    Hinge is max(0, 1 - y*s); logistic is log(1 + exp(-y*s)), computed as
     max(-m, 0) + log1p(exp(-|m|)) with m = y*s, which cannot overflow.  That
     is the case split ``np.logaddexp(0, -m)`` makes, in vectorized ufuncs
     instead of its scalar loop; the two agree to within 3 ulp.
@@ -45,9 +44,6 @@ def loss_value(kind: LossKind, score, y):
     score = np.asarray(score, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_finite(score)
-    if kind is LossKind.ZERO_ONE:
-        pred = np.where(score >= 0.0, 1.0, -1.0)
-        return (pred != y).astype(float)
     margin = y * score
     if kind is LossKind.HINGE:
         return np.maximum(0.0, 1.0 - margin)
@@ -62,11 +58,8 @@ def loss_grad_score(kind: LossKind, score, y):
     """Derivative of the surrogate loss with respect to the score.
 
     Logistic: -y * sigmoid(-y*s).  Hinge: -y where y*s < 1, else 0 (the
-    subgradient at the kink y*s = 1 is taken to be 0).  The 0-1 loss has no
-    gradient and is rejected.
+    subgradient at the kink y*s = 1 is taken to be 0).
     """
-    if kind is LossKind.ZERO_ONE:
-        raise ValueError("zero-one loss has no gradient")
     score = np.asarray(score, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_finite(score)

@@ -93,17 +93,38 @@ class KernelSpec:
             raise ValueError("rbf kernel needs a finite gamma > 0")
 
 
+# argparse names a bad flag value by its type's __name__: no leading underscore
+def bandwidth(value):
+    """An RBF bandwidth: a finite number > 0 that is not a bool, "auto" or
+    "median", with a number returned as a float.  The one bandwidth rule:
+    ``kernel_for`` and ``optim.train`` apply it, and it is the type of the
+    CLI's --gamma, which reads the number from its text, and the check of a
+    config's gamma."""
+    if value in ("auto", "median"):
+        return value
+    try:
+        gamma = float(value)
+    except (TypeError, ValueError):
+        gamma = None
+    if gamma is None or type(value) is bool:
+        raise fault("gamma", 'be a JSON number, "auto" or "median"', value)
+    if not 0 < gamma < math.inf:
+        raise fault("gamma", "be finite and > 0", value)
+    return gamma
+
+
 def kernel_for(X, kind: str, gamma) -> KernelSpec:
-    """The kernel ``kind`` for the points X: the one rule for an RBF
-    bandwidth, which is a number, "auto" (1/p) or "median" (the median
+    """The kernel ``kind`` for the points X, whose RBF bandwidth ``gamma``
+    follows ``bandwidth``: a number, "auto" (1/p) or "median" (the median
     heuristic).  A linear kernel has no bandwidth."""
     if kind != "rbf":
         return KernelSpec(kind=kind)
+    gamma = bandwidth(gamma)
     if gamma == "auto":
         gamma = 1.0 / np.shape(X)[1]
     elif gamma == "median":
         gamma = median_heuristic_gamma(X)
-    return KernelSpec(kind="rbf", gamma=float(gamma))
+    return KernelSpec(kind="rbf", gamma=gamma)
 
 
 def median_heuristic_gamma(X) -> float:
@@ -160,18 +181,6 @@ def linear_score(m: LinearModel, x):
     if x.shape[-1] != m.u.shape[0]:
         raise ValueError(f"feature dimension {x.shape[-1]} != model dimension {m.u.shape[0]}")
     return x @ m.u + m.b
-
-
-def kernel_eval(spec: KernelSpec, x1, x2) -> float:
-    """Kernel value for one pair of points."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape:
-        raise ValueError("kernel arguments must share a dimension")
-    if spec.kind == "linear":
-        return float(x1 @ x2)
-    diff = x1 - x2
-    return float(np.exp(-spec.gamma * (diff @ diff)))
 
 
 def gram(spec: KernelSpec, X, idx=None) -> np.ndarray:

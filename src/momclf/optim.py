@@ -37,9 +37,11 @@ from momclf.data import Dataset, Partition, random_equipartition
 from momclf.losses import LossKind, expit, loss_grad_score, loss_value
 from momclf.mom import block_means, median_block_index, mom_estimate
 from momclf.model import (
+    KERNEL_KINDS,
     KernelModel,
     KernelSpec,
     LinearModel,
+    bandwidth,
     gram,
     kernel_for,
 )
@@ -84,6 +86,16 @@ class StepSchedule:
         return self.eta0 / (t + 1)
 
 
+def _check_run(cfg) -> None:
+    """The k, t and seed checks of both engine configurations."""
+    if cfg.k < 1:
+        raise ValueError("k must be >= 1")
+    if cfg.t < 1:
+        raise ValueError("t must be >= 1")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+
+
 @dataclass(frozen=True)
 class MomGdConfig:
     """Configuration of a MOM gradient-descent run.
@@ -104,16 +116,9 @@ class MomGdConfig:
     gradient_mode: str = "sum"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_run(self)
         if self.gradient_mode not in GRADIENT_MODES:
             raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
-        if self.loss is LossKind.ZERO_ONE:
-            raise ValueError("training needs a surrogate loss with a gradient")
 
 
 @dataclass(frozen=True)
@@ -130,12 +135,7 @@ class FastKlrConfig:
     record_selections: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_run(self)
         if not self.beta > 0:
             raise ValueError("beta must be positive")
         if not self.beta < math.inf:
@@ -178,9 +178,9 @@ class TrainTrace:
     def from_jsonl(cls, path) -> "TrainTrace":
         """Read a trace written by :meth:`to_jsonl`: its meta line, then one
         record a step.  A malformed line, a meta line whose ``k`` lies outside
-        [1, n] or whose ``block_size`` is not n // k, a block that is not
-        ``block_size`` ascending indices in [0, n), a ``k_med`` outside
-        [0, k), a ``t`` other than the record's position, a
+        [1, n], whose ``t`` is < 1 or whose ``block_size`` is not n // k, a
+        block that is not ``block_size`` ascending indices in [0, n), a
+        ``k_med`` outside [0, k), a ``t`` other than the record's position, a
         ``partition_seed`` outside [0, 2**63), or a record count that is
         neither 0 nor ``t`` raises ValueError naming the path, the line's
         1-based number and any field."""
@@ -191,6 +191,8 @@ class TrainTrace:
                 n, k, size = meta["n"], meta["k"], meta["block_size"]
                 if not 1 <= k <= n:
                     raise fault("meta.k", f"lie in [1, n={n}]", k)
+                if meta["t"] < 1:
+                    raise fault("meta.t", "be >= 1", meta["t"])
                 if size != n // k:
                     raise fault("meta.block_size", f"be n // k = {n // k}", size)
                 for lineno, line in enumerate(fh, start=2):
@@ -365,24 +367,6 @@ def median_block_gradient_check(ds: Dataset, m: LinearModel,
     return GradCheckResult(status="ok", max_rel_deviation=max_rel)
 
 
-def expected_mom_objective(ds: Dataset, m: LinearModel, k: int, loss: LossKind,
-                           n_mc: int = 300, seed: int = 0) -> float:
-    """Monte-Carlo estimate of the partition-averaged MOM risk at ``m``.
-
-    Averages ``mom_objective`` over ``n_mc`` independent uniform random
-    equipartitions (300 by default).
-    """
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    rng = np.random.default_rng(seed)
-    X, y = ds.training_arrays()
-    losses = loss_value(loss, X @ m.u + m.b, y)
-    total = 0.0
-    for _ in range(n_mc):
-        total += mom_estimate(losses, random_equipartition(ds.n, k, rng))
-    return total / n_mc
-
-
 def _irls_update(design, alpha_block, y_block, beta, eta):
     """One damped IRLS step of kernel logistic regression on one block.
 
@@ -549,11 +533,18 @@ def train(method: str, ds: Dataset, k: int = 120, t: int = 2000, *,
     kernel methods use ``beta`` and the kernel ``kernel_for(ds.X, kernel,
     gamma)``.  ERM is MOM-logistic at K=1 in block-mean form, so it ignores
     ``k`` and ``gradient_mode``.  A constant step warns only for MOM at
-    K > 1.  A ``beta`` that is not finite and > 0 is refused for every
-    method.  Returns (model, trace).
+    K > 1.  A ``beta`` that is not finite and > 0, a ``gradient_mode`` or
+    ``kernel`` outside its set and a ``gamma`` that ``bandwidth`` refuses are
+    refused for every method; only a kernel method resolves ``gamma``.
+    Returns (model, trace).
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be finite and > 0, got {beta}")
+    if gradient_mode not in GRADIENT_MODES:
+        raise ValueError(f"unknown gradient_mode {gradient_mode!r}")
+    if kernel not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel kind {kernel!r}")
+    bandwidth(gamma)
     schedule = StepSchedule(kind=schedule, eta0=eta0)
     if method in ("mom-logistic", "mom-hinge", "erm-logistic"):
         if method == "erm-logistic":

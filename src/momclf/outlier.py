@@ -69,11 +69,20 @@ def detection_metrics(flagged, ds: Dataset) -> tuple[float, float]:
     """Precision and recall of a flagged index set against ground truth.
 
     An empty flagged set scores precision 1.0 (nothing wrongly flagged)
-    and recall 0.0.
+    and recall 0.0.  A flagged index outside [0, n) or repeated is refused,
+    naming the first such entry.
     """
     if ds.is_outlier is None:
         raise ValueError("dataset carries no ground-truth outlier flags")
     flagged = np.asarray(flagged, dtype=np.intp)
+    outside = (flagged < 0) | (flagged >= ds.n)
+    repeated = np.ones(flagged.size, dtype=bool)
+    repeated[np.unique(flagged, return_index=True)[1]] = False
+    bad = np.flatnonzero(outside | repeated)
+    if bad.size:
+        i = bad[0]
+        why = f"outside [0, {ds.n})" if outside[i] else "a repeat"
+        raise ValueError(f"flagged entry {i}, index {flagged[i]}, is {why}")
     truth = np.flatnonzero(ds.is_outlier)
     if flagged.size == 0:
         return 1.0, 0.0

@@ -296,9 +296,12 @@ _KERNEL = ('{"type": "kernel", "format": 2, "kernel": {"kind": "rbf", "gamma": %
     # t=5 with one record: the counts used to total 2, not 10
     ("outlier-scores", "--trace", _META.replace('"t": 1', '"t": 5') + _STEP,
      "line 1: field 'meta.t' must equal the number of step records (1), got 5"),
+    # t=0 with no records used to read back, then count no selections
+    ("outlier-scores", "--trace", _META.replace('"t": 1', '"t": 0'),
+     "line 1: field 'meta.t' must be >= 1, got 0"),
 ], ids=["model-not-json", "model-reshape", "model-non-finite", "model-gamma-zero",
         "trace-not-json", "trace-retype", "trace-non-finite", "trace-block-size",
-        "trace-k-beyond-n", "trace-t-not-records"])
+        "trace-k-beyond-n", "trace-t-not-records", "trace-t-zero"])
 def test_a_bad_model_or_trace_exits_1_naming_its_path(tmp_path, capsys, command,
                                                      flag, text, message):
     data = tmp_path / "d.csv"

@@ -28,13 +28,6 @@ def test_hinge_satisfied_margin():
     assert loss_value(LossKind.HINGE, 2.0, 1.0) == 0.0
 
 
-def test_zero_one_sign_convention():
-    # sign(0) = +1: a zero score counts as predicting +1
-    assert loss_value(LossKind.ZERO_ONE, 0.0, 1.0) == 0.0
-    assert loss_value(LossKind.ZERO_ONE, 0.0, -1.0) == 1.0
-    assert loss_value(LossKind.ZERO_ONE, -0.3, -1.0) == 0.0
-
-
 def test_logistic_extreme_scores_no_overflow():
     # log(1 + e^1000) = 1000 + log(1 + e^-1000); the correction is < 1e-300,
     # far below double resolution, so the exact value rounds to 1000.
@@ -53,16 +46,11 @@ def test_logistic_matches_naive_oracle_midrange():
 
 
 def test_non_finite_score_rejected():
-    for kind in (LossKind.ZERO_ONE, LossKind.HINGE, LossKind.LOGISTIC):
+    for kind in LossKind:
         with pytest.raises(ValueError):
             loss_value(kind, float("nan"), 1.0)
     with pytest.raises(ValueError):
         loss_grad_score(LossKind.LOGISTIC, float("inf"), 1.0)
-
-
-def test_zero_one_has_no_gradient():
-    with pytest.raises(ValueError):
-        loss_grad_score(LossKind.ZERO_ONE, 0.5, 1.0)
 
 
 def test_logistic_gradient_at_zero():

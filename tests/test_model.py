@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +15,8 @@ from momclf.model import (
     KernelModel,
     KernelSpec,
     LinearModel,
+    bandwidth,
     gram,
-    kernel_eval,
     kernel_for,
     kernel_model_score,
     _FINISH_ENTRIES,
@@ -36,6 +37,18 @@ def loop_dot_oracle(u, x, b):
     for uj, xj in zip(u, x):
         total += uj * xj
     return total
+
+
+def kernel_eval(spec, x1, x2) -> float:
+    """Kernel value for one pair of points."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x1.shape != x2.shape:
+        raise ValueError("kernel arguments must share a dimension")
+    if spec.kind == "linear":
+        return float(x1 @ x2)
+    diff = x1 - x2
+    return float(np.exp(-spec.gamma * (diff @ diff)))
 
 
 def dense_gram_oracle(spec, X):
@@ -94,6 +107,20 @@ def test_kernel_spec_validation():
 def test_kernel_spec_refuses_an_rbf_gamma_that_is_not_finite_and_positive(gamma):
     with pytest.raises(ValueError, match="rbf kernel needs a finite gamma > 0"):
         KernelSpec(kind="rbf", gamma=gamma)
+
+
+@pytest.mark.parametrize("gamma, rule", [
+    ("bogus", 'be a JSON number, "auto" or "median", got "bogus"'),
+    (True, 'be a JSON number, "auto" or "median", got true'),
+    (None, 'be a JSON number, "auto" or "median", got null'),
+    (0, "be finite and > 0, got 0"),
+    (math.nan, "be finite and > 0, got NaN"),
+], ids=["word", "bool", "none", "zero", "nan"])
+def test_kernel_for_applies_the_bandwidth_rule(gamma, rule):
+    with pytest.raises(ValueError, match=re.escape(f"field 'gamma' must {rule}")):
+        kernel_for(np.zeros((3, 2)), "rbf", gamma)
+    # the rule reads a number from its text, as the --gamma flag does
+    assert bandwidth("0.5") == 0.5 and type(bandwidth(2)) is float
 
 
 def test_kernel_for_resolves_each_bandwidth_once():

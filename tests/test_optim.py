@@ -40,7 +40,6 @@ from momclf.optim import (
     MomGdConfig,
     StepSchedule,
     TrainTrace,
-    expected_mom_objective,
     fast_klr_mom_train,
     klr_mom_train,
     median_block_gradient_check,
@@ -83,8 +82,6 @@ def test_config_validation():
         MomGdConfig(k=0, t=10)
     with pytest.raises(ValueError):
         MomGdConfig(k=3, t=0)
-    with pytest.raises(ValueError):
-        MomGdConfig(k=3, t=10, loss=LossKind.ZERO_ONE)
     with pytest.raises(ValueError):
         FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), beta=0.0)
     with pytest.raises(ValueError, match="k must be >= 1"):
@@ -317,6 +314,9 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
           '"final_objective": 0.5}}' % t,
        f"line 1: field 'meta.t' must equal the number of step records (2), got {t}")
       for t in (5, 1)],
+    *[(1, '{"meta": {"n": 42, "k": 6, "t": %d, "block_size": 7, '
+          '"final_objective": 0.5}}' % t,
+       f"line 1: field 'meta.t' must be >= 1, got {t}") for t in (0, -3)],
     *[(2, '{"t": 0, "partition_seed": %d, "k_med": 0, "block": [0, 1, 2, 3, 4, 5, 6], '
           '"objective": 0.5}' % seed,
        f"line 2: field 'partition_seed' must lie in [0, 2**63), got {seed}")
@@ -332,6 +332,7 @@ def test_trace_records_and_jsonl_round_trip(tmp_path):
         "block-empty", "block-repeated", "block-descending", "k_med-beyond-k",
         "k_med-negative", "meta-not-first", "meta-k-beyond-n", "meta-k-zero",
         "meta-block-size", "meta-t-above-records", "meta-t-below-records",
+        "meta-t-zero", "meta-t-negative",
         "seed-negative", "seed-beyond-63-bits", "t-beyond-position", "t-repeated"])
 def test_trace_from_jsonl_names_path_line_and_field(tmp_path, lineno, bad_line,
                                                     message):
@@ -666,6 +667,24 @@ def test_train_refuses_a_beta_that_is_not_finite_and_positive(method, beta):
         train(method, REPLAY_DATA, 8, 15, beta=beta)
 
 
+_NOT_A_BANDWIDTH = 'field \'gamma\' must be a JSON number, "auto" or "median", got '
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("option, value, message", [
+    ("gradient_mode", "bogus", "unknown gradient_mode 'bogus'"),
+    ("kernel", "poly", "unknown kernel kind 'poly'"),
+    ("gamma", "bogus", _NOT_A_BANDWIDTH + '"bogus"'),
+    ("gamma", True, _NOT_A_BANDWIDTH + "true"),
+    ("gamma", 0.0, "field 'gamma' must be finite and > 0, got 0.0"),
+    ("gamma", math.inf, "field 'gamma' must be finite and > 0, got Infinity"),
+], ids=["gradient_mode", "kernel", "gamma-word", "gamma-bool", "gamma-zero", "gamma-inf"])
+def test_train_refuses_an_option_outside_its_rule(method, option, value, message):
+    # every method, also those that do not use the option
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(method, REPLAY_DATA, 8, 15, **{option: value})
+
+
 def test_mom_objective_cases():
     ds = make_dataset(30, 2, 8)
     rng = np.random.default_rng(0)
@@ -746,6 +765,19 @@ def test_gradient_norms_bounded_by_feature_norms():
         g = loss_grad_score(LossKind.LOGISTIC, ds.X @ m.u + m.b, ds.y)
         norms = np.abs(g) * np.sqrt(np.sum(ds.X ** 2, axis=1) + 1.0)
         assert np.all(norms <= bound + 1e-12)
+
+
+def expected_mom_objective(ds, m, k, loss, n_mc=300, seed=0):
+    """Monte-Carlo estimate of the partition-averaged MOM risk at ``m``:
+    ``mom_objective`` averaged over ``n_mc`` independent uniform random
+    equipartitions."""
+    rng = np.random.default_rng(seed)
+    X, y = ds.training_arrays()
+    losses = loss_value(loss, X @ m.u + m.b, y)
+    total = 0.0
+    for _ in range(n_mc):
+        total += mom_estimate(losses, random_equipartition(ds.n, k, rng))
+    return total / n_mc
 
 
 def test_expected_mom_objective_k1_equals_empirical_risk():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,19 @@ def test_detection_metrics_conventions():
     clean = Dataset(X=ds.X, y=ds.y)
     with pytest.raises(ValueError):
         detection_metrics(truth, clean)
+
+
+@pytest.mark.parametrize("flagged, message", [
+    ([0, 0, 3], "flagged entry 1, index 0, is a repeat"),
+    ([0, -1], "flagged entry 1, index -1, is outside [0, 25)"),
+    ([25, 0], "flagged entry 0, index 25, is outside [0, 25)"),
+    ([0, 999, 0], "flagged entry 1, index 999, is outside [0, 25)"),
+], ids=["repeated", "negative", "at-n", "first-of-two"])
+def test_detection_metrics_refuses_a_repeated_or_outside_index(flagged, message):
+    ds = generate_toy(20, 5, 1)
+    assert ds.is_outlier[[0, 3]].all()  # a repeat of true outliers used to score
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detection_metrics(flagged, ds)
 
 
 def test_detection_metrics_random_flagging_expectation():
