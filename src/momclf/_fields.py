@@ -2,20 +2,21 @@
 
 A spec maps each field name to a kind: the Python types a JSON scalar of that
 kind loads as, a nested spec, a frozenset of the strings it may hold, FLOATS
-(finite numbers at any depth, as a float array) or INDICES (a flat list of JSON
-integers, as an index array).  Types match exactly, so true is not an integer
-and not a number at any depth, and numbers must be finite, since
-``json.loads`` accepts NaN and Infinity."""
+(finite numbers at any depth, as a float array), INDICES (a flat list of JSON
+integers, as an index array) or a rule, a function that returns the value it
+accepts and names the field it refuses.  Types match exactly, so true is not
+an integer and not a number at any depth, and numbers must be finite, since
+``json.loads`` accepts NaN and Infinity.  ``member``, ``integer`` and
+``positive`` build the rules of the training options, which every entry of an
+option applies, so a bad value reads the same through each."""
 
 import json
 import sys
 
 import numpy as np
 
-INTEGER, NUMBER, STRING, NUMBER_OR_STRING = (int,), (int, float), (str,), (int, float, str)
+INTEGER, NUMBER = (int,), (int, float)
 FLOATS, INDICES = "finite JSON numbers", "list of JSON integers"
-_NAMES = {INTEGER: "integer", NUMBER: "number", STRING: "string",
-          NUMBER_OR_STRING: "number or string"}
 _LARGEST = sys.float_info.max
 
 
@@ -46,13 +47,13 @@ def read_fields(obj, spec: dict, name: str, partial=False, prefix="") -> dict:
             value = read_fields(value, kind, f"field {prefix + field!r}",
                                 prefix=f"{prefix}{field}.")
         elif type(kind) is frozenset:
-            if type(value) is not str or value not in kind:
-                raise fault(prefix + field, "be one of "
-                             + ", ".join(map(json.dumps, sorted(kind))), value)
-        elif type(value) not in kind:
-            raise fault(prefix + field, f"be a JSON {_NAMES[kind]}", value)
+            member(prefix + field, value, kind)
+        elif callable(kind):
+            value = kind(value)
+        elif type(value) not in NUMBER:
+            raise fault(prefix + field, "be a JSON number", value)
         # false for NaN, the infinities and integers beyond the float range
-        elif type(value) is not str and not -_LARGEST <= value <= _LARGEST:
+        elif not -_LARGEST <= value <= _LARGEST:
             raise fault(prefix + field, f"hold {FLOATS}", value)
         values[field] = value
     return values
@@ -60,7 +61,42 @@ def read_fields(obj, spec: dict, name: str, partial=False, prefix="") -> dict:
 
 def fault(path: str, rule: str, value) -> ValueError:
     """The error of a field whose value breaks ``rule``: "must <rule>, got <value>"."""
-    return ValueError(f"field {path!r} must {rule}, got {json.dumps(value)[:40]}")
+    return ValueError(f"field {path!r} must {rule}, "
+                      f"got {json.dumps(value, default=_plain)[:40]}")
+
+
+def _plain(value):
+    """A value that JSON cannot show: a numpy one as Python's, else its repr."""
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else repr(value)
+
+
+def member(path: str, value, allowed):
+    """``value`` if it is one of the strings ``allowed``."""
+    if not isinstance(value, str) or value not in allowed:
+        raise fault(path, "be one of " + ", ".join(map(json.dumps, sorted(allowed))),
+                    value)
+    return value
+
+
+def integer(path: str, value, low: int):
+    """``value`` if it is a Python or numpy integer, not a bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise fault(path, "be a JSON integer", value)
+    if value < low:
+        raise fault(path, f"be >= {low}", value)
+    return value
+
+
+def positive(path: str, value, zero=False, expected="a JSON number"):
+    """``value`` if it is a Python or numpy number, not a bool, that is finite
+    and > 0, or >= 0 if ``zero``; a value of another type must be ``expected``."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise fault(path, f"be {expected}", value)
+    # false for NaN, the infinities and integers beyond the float range
+    if not ((0 <= value) if zero else (0 < value)) or not value <= _LARGEST:
+        raise fault(path, "be finite and " + (">= 0" if zero else "> 0"), value)
+    return value
 
 
 def _floats(value, path: str) -> np.ndarray:

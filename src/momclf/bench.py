@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from momclf.data import Dataset, generate_gaussians, generate_moons, generate_toy
+from momclf._fields import integer, member
+from momclf.data import Dataset, block_count, generate_gaussians, generate_moons, generate_toy
 from momclf.losses import LossKind, expit, loss_grad_score, loss_value
 from momclf.model import LinearModel, linear_score, predict
 from momclf.optim import KERNEL_METHODS, METHODS, NumericError, train
@@ -127,8 +128,7 @@ def _toy_runs(report: ExperimentReport, cells, n_runs: int, master_seed: int,
     derive_seed(master_seed, r, 2 + j).  A failed training is recorded
     with its error and accuracy None, not raised.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    integer("n_runs", n_runs, 1)
     for r in range(n_runs):
         train_set = generate_toy(n_inliers, n_outliers,
                                  derive_seed(master_seed, r, 0))
@@ -190,11 +190,9 @@ def run_k_sweep(k_values, n_runs: int, master_seed: int = 0,
 
 
 def _rate_generator(kind: str):
-    if kind == "moons":
+    if member("dataset", kind, ("gaussians", "moons")) == "moons":
         return lambda n, seed: generate_moons(n, 0.3, seed)
-    if kind == "gaussians":
-        return generate_gaussians
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    return generate_gaussians
 
 
 def logistic_risk(model: LinearModel, ds: Dataset) -> float:
@@ -304,14 +302,11 @@ def run_timing_probe(algorithms, n: int, master_seed: int = 0, k: int = 20,
     times are machine-dependent; the report also carries ratios to the
     fastest algorithm.
     """
-    if n < k:
-        raise ValueError("n must be at least k")
+    block_count(k, n)
     if not algorithms:
         raise ValueError("algorithms is empty")
     for name in algorithms:
-        if name not in METHODS:
-            raise ValueError(f"unknown algorithm {name!r}; "
-                             f"choose from {sorted(METHODS)}")
+        member("algorithms", name, METHODS)
     report = ExperimentReport(name="timing")
     train_set = generate_gaussians(n, derive_seed(master_seed, 0))
     test = generate_gaussians(n, derive_seed(master_seed, 1))

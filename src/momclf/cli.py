@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from momclf import bench, optim
-from momclf._fields import INTEGER, NUMBER, NUMBER_OR_STRING, STRING, fault, read_fields
+from momclf._fields import INTEGER, NUMBER, read_fields
 from momclf.data import generate_gaussians, generate_moons, generate_toy, load_csv, write_csv
 from momclf.model import KERNEL_KINDS, bandwidth, model_from_json, model_to_json, predict
-from momclf.optim import METHODS, TrainTrace
+from momclf.optim import METHODS, TrainTrace, regularization, seed
 from momclf.outlier import (
     detection_metrics,
     flag_outliers,
@@ -28,23 +27,13 @@ from momclf.outlier import (
 )
 
 
-# argparse names a bad flag value by its type's __name__: no leading underscore
-def regularization(value):
-    """A regularization strength: a finite number > 0.  The type of --beta,
-    which reads the number from its text, and the check of a config's beta."""
-    beta = float(value)
-    if not 0 < beta < math.inf:
-        raise fault("beta", "be finite and > 0", value)
-    return beta
-
-
-def seed(value):
-    """A seed: an integer >= 0.  The type of every --seed, which reads the
-    integer from its text, and the check of a config's seed."""
-    number = int(value)
-    if number < 0:
-        raise fault("seed", "be >= 0", value)
-    return number
+def _flag_type(rule, read):
+    """The type of a flag whose text ``read`` converts and ``rule`` checks,
+    under the rule's name, by which argparse names a bad value."""
+    def flag_type(text):
+        return rule(read(text))
+    flag_type.__name__ = rule.__name__
+    return flag_type
 
 
 def int_list(raw: str) -> list:
@@ -67,26 +56,26 @@ def _label_column(raw: str):
         return raw
 
 
-# Each option of ``train`` once: {name: (JSON kind, flag type, allowed values,
-# help)}.  Its flag is --name with "-" for "_", its config key the name and its
-# default that of ``optim.train``'s parameter of the same name.  The flag type
-# also checks and converts the option's config value.
+# Each option of ``train`` once: {name: (JSON kind, text type, help)}.  Its
+# flag is --name with "-" for "_", its config key the name and its default that
+# of ``optim.train``'s parameter.  A rule kind checks both the config's value
+# and the flag's, a frozenset kind's strings are the flag's choices, and
+# ``optim.train`` applies the rules of the other options.
 TRAIN_OPTIONS = {
-    "algo": (STRING, str, METHODS, None),
-    "k": (INTEGER, int, None, "number of blocks"),
-    "t": (INTEGER, int, None, "iterations"),
-    "eta0": (NUMBER, float, None, None),
-    "schedule": (STRING, str, optim.SCHEDULE_KINDS, None),
-    "gradient_mode": (STRING, str, optim.GRADIENT_MODES,
+    "algo": (frozenset(METHODS), str, None),
+    "k": (INTEGER, int, "number of blocks"),
+    "t": (INTEGER, int, "iterations"),
+    "eta0": (NUMBER, float, None),
+    "schedule": (frozenset(optim.SCHEDULE_KINDS), str, None),
+    "gradient_mode": (frozenset(optim.GRADIENT_MODES), str,
                       "block-sum update (literal) or mean form"),
-    "beta": (NUMBER, regularization, None, "kernel engines: regularization strength"),
-    "kernel": (STRING, str, KERNEL_KINDS, None),
-    "gamma": (NUMBER_OR_STRING, bandwidth, None, "rbf bandwidth: positive "
-              "float, 'auto' (1/p) or 'median' (median heuristic)"),
-    "seed": (INTEGER, seed, None, None),
+    "beta": (regularization, float, "kernel engines: regularization strength"),
+    "kernel": (frozenset(KERNEL_KINDS), str, None),
+    "gamma": (bandwidth, str, "rbf bandwidth: positive float, 'auto' (1/p) or "
+              "'median' (median heuristic)"),
+    "seed": (seed, int, None),
 }
-_CONFIG_FIELDS = {name: frozenset(allowed) if allowed else kind
-                  for name, (kind, _, allowed, _) in TRAIN_OPTIONS.items()}
+_CONFIG_FIELDS = {name: kind for name, (kind, _, _) in TRAIN_OPTIONS.items()}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -97,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # the options of every subcommand that writes one file from a seed
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=seed, default=0)
+    seeded.add_argument("--seed", type=_flag_type(seed, int), default=0)
     seeded.add_argument("--output", required=True)
 
     gen = sub.add_parser("generate", parents=[seeded],
@@ -120,9 +109,11 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--label-column", type=_label_column,
                        help="label column name or 0-based index")
     # each defaults to None, "not given", so that the config or optim.train applies
-    for name, (_, flag_type, allowed, text) in TRAIN_OPTIONS.items():
-        train.add_argument("--" + name.replace("_", "-"), type=flag_type,
-                           choices=allowed, help=text)
+    for name, (kind, read, text) in TRAIN_OPTIONS.items():
+        train.add_argument("--" + name.replace("_", "-"),
+                           type=_flag_type(kind, read) if callable(kind) else read,
+                           choices=sorted(kind) if type(kind) is frozenset else None,
+                           help=text)
     train.add_argument("--model", required=True, help="output model JSON path")
     train.add_argument("--trace", help="optional JSONL path for the per-iteration trace")
     train.set_defaults(handler=_cmd_train)
@@ -208,7 +199,6 @@ def _train_options(args) -> dict:
                 unknown = sorted(set(loaded) - set(TRAIN_OPTIONS))
                 if unknown:
                     raise ValueError(f"has unknown keys {unknown}")
-                opts = {name: TRAIN_OPTIONS[name][1](value) for name, value in opts.items()}
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{args.config}: config is not JSON ({exc})") from None
             except ValueError as exc:

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from momclf._fields import fault, integer
+
 TOY_INLIER_VAR = 1.4          # per-coordinate variance of the informative Gaussians
 TOY_OUTLIER_MEAN = (24.0, 8.0)
 TOY_OUTLIER_VAR = 0.1
@@ -122,14 +124,20 @@ class Partition:
         return self.blocks[j]
 
 
+def block_count(k: int, n: int, path: str = "k") -> None:
+    """Refuse k blocks of n points unless each can hold one: 1 <= k <= n.
+    The rule of every engine's k and of a trace's ``meta.k``."""
+    if not 1 <= k <= n:
+        raise fault(path, f"lie in [1, n={n}]", k)
+
+
 def random_equipartition(n: int, k: int, rng: np.random.Generator) -> Partition:
     """Draw a uniform random partition of {0..n-1} into k equal blocks.
 
     A permutation is drawn uniformly, chopped into k consecutive chunks of
     size n // k, and the trailing n mod k indices are dropped for this draw.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    block_count(k, n)
     block_size = n // k
     perm = rng.permutation(n)
     blocks = np.sort(perm[: k * block_size].reshape(k, block_size), axis=1)
@@ -153,10 +161,8 @@ def generate_toy(n_inliers: int, n_outliers: int, seed: int) -> Dataset:
     is odd).  Outliers: Y=+1 with X ~ N((24,8), 0.1 I).  Sample order is
     shuffled by the seed and ground-truth flags are set.
     """
-    if n_inliers < 2:
-        raise ValueError("need at least 2 inliers")
-    if n_outliers < 0:
-        raise ValueError("n_outliers must be >= 0")
+    integer("n_inliers", n_inliers, 2)
+    integer("n_outliers", n_outliers, 0)
     rng = np.random.default_rng(seed)
     n_pos = n_inliers - n_inliers // 2
     n_neg = n_inliers // 2
@@ -181,8 +187,7 @@ def generate_moons(n: int, noise_sd: float, seed: int) -> Dataset:
     grid over [0, pi]; the -1 moon is the same arc translated by (1, -0.5).
     The arcs cross, so no linear classifier separates the classes.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    integer("n", n, 2)
     rng = np.random.default_rng(seed)
     n_up = n - n // 2
     n_lo = n // 2
@@ -201,8 +206,7 @@ def generate_gaussians(n: int, seed: int) -> Dataset:
     split exactly in half.  No outliers; used by the convergence-rate and
     timing experiments.
     """
-    if n < 2:
-        raise ValueError("need at least 2 samples")
+    integer("n", n, 2)
     rng = np.random.default_rng(seed)
     n_pos = n - n // 2
     n_neg = n // 2

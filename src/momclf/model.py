@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from momclf._fields import FLOATS, NUMBER, fault, read_fields
+from momclf._fields import FLOATS, NUMBER, member, positive, read_fields
 from momclf.data import Partition
 
 # Version of the model JSON files this module writes and reads.
@@ -87,30 +87,22 @@ class KernelSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and not 0 < self.gamma < math.inf:
-            raise ValueError("rbf kernel needs a finite gamma > 0")
+        member("kernel", self.kind, KERNEL_KINDS)
+        if self.kind == "rbf":
+            positive("gamma", self.gamma)
 
 
 # argparse names a bad flag value by its type's __name__: no leading underscore
 def bandwidth(value):
-    """An RBF bandwidth: a finite number > 0 that is not a bool, "auto" or
-    "median", with a number returned as a float.  The one bandwidth rule:
-    ``kernel_for`` and ``optim.train`` apply it, and it is the type of the
-    CLI's --gamma, which reads the number from its text, and the check of a
-    config's gamma."""
-    if value in ("auto", "median"):
-        return value
-    try:
-        gamma = float(value)
-    except (TypeError, ValueError):
-        gamma = None
-    if gamma is None or type(value) is bool:
-        raise fault("gamma", 'be a JSON number, "auto" or "median"', value)
-    if not 0 < gamma < math.inf:
-        raise fault("gamma", "be finite and > 0", value)
-    return gamma
+    """An RBF bandwidth: "auto", "median" or a finite number > 0 or its text,
+    returned as a float.  The one bandwidth rule, of ``kernel_for``,
+    ``optim.train``, --gamma and a config."""
+    if isinstance(value, str):
+        if value in ("auto", "median"):
+            return value
+        with contextlib.suppress(ValueError):
+            value = float(value)
+    return float(positive("gamma", value, expected='a JSON number, "auto" or "median"'))
 
 
 def kernel_for(X, kind: str, gamma) -> KernelSpec:
@@ -338,11 +330,9 @@ def model_from_json(text: str):
                                  f"got shape {fields[key].shape}")
         if kind == "linear":
             return LinearModel(**fields)
-        try:
-            spec = KernelSpec(**fields["kernel"])
-        except ValueError:  # the kind is one of KERNEL_KINDS, so gamma is at fault
-            raise fault("kernel.gamma", "be > 0 for an rbf kernel",
-                        fields["kernel"]["gamma"]) from None
+        if fields["kernel"]["kind"] == "rbf":  # KernelSpec's rule, named by its path
+            positive("kernel.gamma", fields["kernel"]["gamma"])
+        spec = KernelSpec(**fields["kernel"])
         m = fields["support"].shape[0]
         return KernelModel(alpha=fields["alpha"], support=fields["support"], kernel=spec,
                            partition=Partition(blocks=np.arange(m)[None, :], n=m))

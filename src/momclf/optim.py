@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from momclf._fields import INDICES, INTEGER, NUMBER, fault, read_fields
-from momclf.data import Dataset, Partition, random_equipartition
+from momclf._fields import (INDICES, INTEGER, NUMBER, fault, integer, member, positive,
+                            read_fields)
+from momclf.data import Dataset, Partition, block_count, random_equipartition
 from momclf.losses import LossKind, expit, loss_grad_score, loss_value
 from momclf.mom import block_means, median_block_index, mom_estimate
 from momclf.model import (
@@ -70,15 +70,9 @@ class StepSchedule:
     eta0: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in SCHEDULE_KINDS:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.kind == "inverse-t" and not self.eta0 > 0:
-            raise ValueError("eta0 must be positive")
-        if self.kind == "constant" and self.eta0 < 0:
-            # a zero constant step (frozen updates) is a legitimate diagnostic
-            raise ValueError("eta0 must be non-negative")
-        if not self.eta0 < math.inf:
-            raise ValueError(f"eta0 must be finite, got {self.eta0}")
+        member("schedule", self.kind, SCHEDULE_KINDS)
+        # a zero constant step (frozen updates) is a legitimate diagnostic
+        positive("eta0", self.eta0, zero=self.kind == "constant")
 
     def rate(self, t: int) -> float:
         if self.kind == "constant":
@@ -86,14 +80,21 @@ class StepSchedule:
         return self.eta0 / (t + 1)
 
 
+def regularization(value):
+    """The one beta rule, of ``train``, ``FastKlrConfig``, --beta and a config."""
+    return positive("beta", value)
+
+
+def seed(value):
+    """The one seed rule, of both engine configurations, --seed and a config."""
+    return integer("seed", value, 0)
+
+
 def _check_run(cfg) -> None:
-    """The k, t and seed checks of both engine configurations."""
-    if cfg.k < 1:
-        raise ValueError("k must be >= 1")
-    if cfg.t < 1:
-        raise ValueError("t must be >= 1")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+    """The k, t and seed rules of both engine configurations."""
+    integer("k", cfg.k, 1)
+    integer("t", cfg.t, 1)
+    seed(cfg.seed)
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,7 @@ class MomGdConfig:
 
     def __post_init__(self):
         _check_run(self)
-        if self.gradient_mode not in GRADIENT_MODES:
-            raise ValueError(f"unknown gradient_mode {self.gradient_mode!r}")
+        member("gradient_mode", self.gradient_mode, GRADIENT_MODES)
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,7 @@ class FastKlrConfig:
 
     def __post_init__(self):
         _check_run(self)
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if not self.beta < math.inf:
-            raise ValueError(f"beta must be finite, got {self.beta}")
+        regularization(self.beta)
 
 
 @dataclass(frozen=True)
@@ -164,9 +161,10 @@ class TrainTrace:
 
     def to_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"meta": {"n": self.n, "k": self.k, "t": self.t,
-                                          "block_size": self.block_size,
-                                          "final_objective": self.final_objective}}) + "\n")
+            meta = {"n": self.n, "k": self.k, "t": self.t, "block_size": self.block_size,
+                    "final_objective": self.final_objective}
+            # k and t may be numpy integers, which json writes through int
+            fh.write(json.dumps({"meta": meta}, default=int) + "\n")
             for rec in self.steps:
                 fh.write(json.dumps({"t": rec.t,
                                      "partition_seed": rec.partition_seed,
@@ -189,10 +187,8 @@ class TrainTrace:
             try:
                 meta = read_fields(_decode(fh.readline()), _META_LINE, "record")["meta"]
                 n, k, size = meta["n"], meta["k"], meta["block_size"]
-                if not 1 <= k <= n:
-                    raise fault("meta.k", f"lie in [1, n={n}]", k)
-                if meta["t"] < 1:
-                    raise fault("meta.t", "be >= 1", meta["t"])
+                block_count(k, n, "meta.k")
+                integer("meta.t", meta["t"], 1)
                 if size != n // k:
                     raise fault("meta.block_size", f"be n // k = {n // k}", size)
                 for lineno, line in enumerate(fh, start=2):
@@ -493,8 +489,7 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     """
     X, y = ds.training_arrays()
     n = ds.n
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds the number of samples {n}")
+    block_count(cfg.k, n)  # before the n x n Gram is built
     full = gram(cfg.kernel, X, np.arange(n))
 
     def block_kernel(j, idx):
@@ -533,34 +528,30 @@ def train(method: str, ds: Dataset, k: int = 120, t: int = 2000, *,
     kernel methods use ``beta`` and the kernel ``kernel_for(ds.X, kernel,
     gamma)``.  ERM is MOM-logistic at K=1 in block-mean form, so it ignores
     ``k`` and ``gradient_mode``.  A constant step warns only for MOM at
-    K > 1.  A ``beta`` that is not finite and > 0, a ``gradient_mode`` or
-    ``kernel`` outside its set and a ``gamma`` that ``bandwidth`` refuses are
-    refused for every method; only a kernel method resolves ``gamma``.
+    K > 1.  ``method`` is the CLI's ``algo``.  Each option's one rule holds
+    for every method, also one that ignores the option, except ERM's k;
+    only a kernel method resolves ``gamma``.
     Returns (model, trace).
     """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and > 0, got {beta}")
-    if gradient_mode not in GRADIENT_MODES:
-        raise ValueError(f"unknown gradient_mode {gradient_mode!r}")
-    if kernel not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel kind {kernel!r}")
+    member("algo", method, METHODS)
+    regularization(beta)
+    member("gradient_mode", gradient_mode, GRADIENT_MODES)
+    member("kernel", kernel, KERNEL_KINDS)
     bandwidth(gamma)
     schedule = StepSchedule(kind=schedule, eta0=eta0)
-    if method in ("mom-logistic", "mom-hinge", "erm-logistic"):
+    if method not in KERNEL_METHODS:
         if method == "erm-logistic":
             k, gradient_mode = 1, "mean"
-        if k > 1 and schedule.kind == "constant":
-            warnings.warn("constant step size violates the convergence conditions; "
-                          "intended for diagnostics only", stacklevel=2)
         loss = LossKind.HINGE if method == "mom-hinge" else LossKind.LOGISTIC
         cfg = MomGdConfig(k=k, t=t, schedule=schedule, loss=loss, seed=seed,
                           record_selections=record_selections,
                           gradient_mode=gradient_mode)
+        if k > 1 and schedule.kind == "constant":
+            warnings.warn("constant step size violates the convergence conditions; "
+                          "intended for diagnostics only", stacklevel=2)
         return mom_gd_train(ds, LinearModel.zeros(ds.p), cfg)
-    if method in KERNEL_METHODS:
-        cfg = FastKlrConfig(k=k, t=t, schedule=schedule, beta=beta,
-                            kernel=kernel_for(ds.X, kernel, gamma), seed=seed,
-                            record_selections=record_selections)
-        engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
-        return engine(ds, cfg)
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    cfg = FastKlrConfig(k=k, t=t, schedule=schedule, beta=beta,
+                        kernel=kernel_for(ds.X, kernel, gamma), seed=seed,
+                        record_selections=record_selections)
+    engine = fast_klr_mom_train if method == "fast-klr-mom" else klr_mom_train
+    return engine(ds, cfg)

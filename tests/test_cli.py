@@ -11,9 +11,9 @@ import pytest
 
 import momclf
 from momclf.cli import main
-from momclf.data import load_csv
-from momclf.model import predict
-from momclf.optim import TrainTrace, train
+from momclf.data import load_csv, random_equipartition
+from momclf.model import KernelSpec, kernel_for, predict, record_gram_calls
+from momclf.optim import FastKlrConfig, MomGdConfig, StepSchedule, TrainTrace, train
 
 
 def test_unknown_flag_rejected(capsys):
@@ -277,7 +277,7 @@ _KERNEL = ('{"type": "kernel", "format": 2, "kernel": {"kind": "rbf", "gamma": %
     ("predict", "--model", _KERNEL % ("NaN", "[[0.0, 0.0]]"),
      "model field 'kernel.gamma' must hold finite JSON numbers"),
     ("predict", "--model", _KERNEL % ("0", "[[0.0, 0.0]]"),
-     "model field 'kernel.gamma' must be > 0 for an rbf kernel"),
+     "model field 'kernel.gamma' must be finite and > 0, got 0"),
     ("outlier-scores", "--trace", _META + _STEP[:-5], "line 2: not JSON"),
     ("outlier-scores", "--trace", _META + _STEP.replace('"t": 0', '"t": "0"'),
      "line 2: field 't' must be a JSON integer"),
@@ -454,14 +454,15 @@ def test_train_without_a_method_names_the_flag_and_the_config_key(tmp_path, caps
     ('{"k": "5"}', "config field 'k' must be a JSON integer, got \"5\""),
     ('{"t": 2.5}', "config field 't' must be a JSON integer, got 2.5"),
     ("[1, 2]", "config file must be a JSON object, got list"),
-    ('{"gamma": true}', "config field 'gamma' must be a JSON number or string, got true"),
+    ('{"gamma": true}', "config field 'gamma' must be a JSON number, \"auto\" or "
+                        "\"median\", got true"),
     ('{"gamma": "wide"}', "config field 'gamma' must be a JSON number, \"auto\" or "
                           "\"median\", got \"wide\""),
     ('{"eta0": NaN}', "config field 'eta0' must hold finite JSON numbers"),
     ('{"seed": null}', "config field 'seed' must be a JSON integer, got null"),
     ('{"bogus": 1}', "config has unknown keys ['bogus']"),
     ("{", "config is not JSON (Expecting property name"),
-    ('{"gamma": "inf"}', "config field 'gamma' must be finite and > 0, got \"inf\""),
+    ('{"gamma": "inf"}', "config field 'gamma' must be finite and > 0, got Infinity"),
     ('{"gamma": 0}', "config field 'gamma' must be finite and > 0, got 0"),
 ], ids=["k-string", "t-float", "list", "gamma-bool", "gamma-word", "eta0-nan",
         "seed-null", "unknown-key", "not-json", "gamma-inf", "gamma-zero"])
@@ -517,6 +518,107 @@ def test_train_refuses_an_out_of_set_value_as_flag_and_as_config(tmp_path, capsy
     assert not model.exists()
 
 
+_LINEAR = KernelSpec(kind="linear")
+# The value objects that take each option, as functions of its value.
+_VALUE_OBJECTS = {
+    "k": [lambda v: MomGdConfig(k=v, t=1),
+          lambda v: FastKlrConfig(k=v, t=1, kernel=_LINEAR)],
+    "t": [lambda v: MomGdConfig(k=1, t=v),
+          lambda v: FastKlrConfig(k=1, t=v, kernel=_LINEAR)],
+    "eta0": [lambda v: StepSchedule(eta0=v)],
+    "schedule": [lambda v: StepSchedule(kind=v)],
+    "gradient_mode": [lambda v: MomGdConfig(k=1, t=1, gradient_mode=v)],
+    "beta": [lambda v: FastKlrConfig(k=1, t=1, kernel=_LINEAR, beta=v)],
+    "kernel": [lambda v: KernelSpec(kind=v), lambda v: kernel_for(np.ones((2, 2)), v, 1.0)],
+    "gamma": [lambda v: kernel_for(np.ones((2, 2)), "rbf", v)],
+    "seed": [lambda v: MomGdConfig(k=1, t=1, seed=v),
+             lambda v: FastKlrConfig(k=1, t=1, kernel=_LINEAR, seed=v)],
+}
+_METHOD_LIST = '"erm-logistic", "fast-klr-mom", "klr-mom", "mom-hinge", "mom-logistic"'
+
+
+# (option, bad value, what the option must be): one case per rule and bad value
+_BAD_VALUES = [
+    ("algo", "svm", f"be one of {_METHOD_LIST}"),
+    ("k", 0, "be >= 1"),
+    ("k", 2.5, "be a JSON integer"),
+    ("k", True, "be a JSON integer"),
+    ("k", np.float64(2.0), "be a JSON integer"),
+    ("t", 0, "be >= 1"),
+    ("t", 3.0, "be a JSON integer"),
+    ("t", "3", "be a JSON integer"),
+    ("eta0", -1.0, "be finite and > 0"),
+    ("eta0", "0.5", "be a JSON number"),
+    ("eta0", None, "be a JSON number"),
+    ("schedule", "cosine", 'be one of "constant", "inverse-t"'),
+    ("gradient_mode", "bogus", 'be one of "mean", "sum"'),
+    ("beta", -1.0, "be finite and > 0"),
+    ("beta", 0, "be finite and > 0"),
+    ("beta", True, "be a JSON number"),
+    ("beta", "x", "be a JSON number"),
+    ("kernel", "poly", 'be one of "linear", "rbf"'),
+    ("gamma", 0.0, "be finite and > 0"),
+    ("gamma", -1, "be finite and > 0"),
+    ("gamma", "wide", 'be a JSON number, "auto" or "median"'),
+    ("gamma", True, 'be a JSON number, "auto" or "median"'),
+    ("seed", -1, "be >= 0"),
+    ("seed", 1.5, "be a JSON integer"),
+]
+
+
+@pytest.mark.parametrize("name, value, rule", _BAD_VALUES,
+                         ids=[f"{name}={json.dumps(value)}" for name, value, _ in _BAD_VALUES])
+def test_each_entry_of_an_option_refuses_a_bad_value_with_one_message(
+        tmp_path, capsys, name, value, rule):
+    message = f"field {name!r} must {rule}, got {json.dumps(value)}"
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "20", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    opts = {"algo": "fast-klr-mom", "k": 2, "t": 5, name: value}
+    # train, with the method as its first argument
+    args = {key: opt for key, opt in opts.items() if key != "algo"}
+    with pytest.raises(ValueError) as exc:
+        train(opts["algo"], load_csv(data), **args)
+    assert str(exc.value) == message
+    # every value object that takes the option
+    for build in _VALUE_OBJECTS.get(name, []):
+        with pytest.raises(ValueError) as exc:
+            build(value)
+        assert str(exc.value) == message
+    # a config file, whose own check or train refuses it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(opts))
+    model = tmp_path / "m.json"
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err in (f"error: {cfg}: config {message}\n", f"error: {message}\n")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("algo", ["mom-logistic", "fast-klr-mom", "klr-mom"])
+def test_every_engine_refuses_more_blocks_than_points_with_one_message(
+        tmp_path, capsys, algo):
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "20", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    message = "field 'k' must lie in [1, n=22], got 500"
+    with record_gram_calls() as grams, pytest.raises(ValueError) as exc:
+        train(algo, load_csv(data), 500, 5)
+    assert str(exc.value) == message
+    assert grams == []  # refused before any Gram is built
+    with pytest.raises(ValueError) as exc:
+        random_equipartition(22, 500, np.random.default_rng(0))
+    assert str(exc.value) == message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algo": algo, "k": 500, "t": 5}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--data", str(data),
+                 "--model", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # A beta that is not finite is refused by --beta's own type (_OUT_OF_SET).
 @pytest.mark.parametrize("algo, name, value, schedule", [
     ("mom-logistic", "eta0", "inf", "inverse-t"),
@@ -536,7 +638,9 @@ def test_train_refuses_a_non_finite_eta0_or_beta_as_flag_and_as_config(
     assert main(["train", "--algo", algo, "--k", "2", "--t", "5", "--schedule", schedule,
                  f"--{name}", value, "--data", str(data), "--model", str(model)]) == 1
     err = capsys.readouterr().err
-    assert f"error: {name} must be finite, got {value}" in err
+    rule = ">= 0" if schedule == "constant" else "> 0"
+    assert (f"error: field '{name}' must be finite and {rule}, "
+            f"got {json.dumps(float(value))}" in err)
     assert "Warning" not in err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algo": algo, "k": 2, "t": 5, "schedule": schedule,

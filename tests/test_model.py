@@ -105,7 +105,8 @@ def test_kernel_spec_validation():
 @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0, -1.0],
                          ids=["inf", "nan", "zero", "negative"])
 def test_kernel_spec_refuses_an_rbf_gamma_that_is_not_finite_and_positive(gamma):
-    with pytest.raises(ValueError, match="rbf kernel needs a finite gamma > 0"):
+    message = f"field 'gamma' must be finite and > 0, got {json.dumps(gamma)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         KernelSpec(kind="rbf", gamma=gamma)
 
 
@@ -132,7 +133,8 @@ def test_kernel_for_resolves_each_bandwidth_once():
     # a linear kernel has no bandwidth, so none is resolved or checked
     for gamma in ("auto", "median", 0.0):
         assert kernel_for(X, "linear", gamma) == KernelSpec(kind="linear")
-    with pytest.raises(ValueError, match="unknown kernel kind 'poly'"):
+    with pytest.raises(ValueError, match="field 'kernel' must be one of "
+                                         '"linear", "rbf", got "poly"'):
         kernel_for(X, "poly", "auto")
 
 
@@ -545,9 +547,9 @@ def test_model_from_json_names_a_field_of_the_wrong_type(text, message):
     (_kernel_file(kernel={"kind": "poly", "gamma": 1.0}),
      'model field \'kernel.kind\' must be one of "linear", "rbf", got "poly"'),
     (_kernel_file(kernel={"kind": "rbf", "gamma": 0.0}),
-     "model field 'kernel.gamma' must be > 0 for an rbf kernel, got 0.0"),
+     "model field 'kernel.gamma' must be finite and > 0, got 0.0"),
     (_kernel_file(kernel={"kind": "rbf", "gamma": -1}),
-     "model field 'kernel.gamma' must be > 0 for an rbf kernel, got -1"),
+     "model field 'kernel.gamma' must be finite and > 0, got -1"),
 ], ids=["type", "kernel-kind", "zero-gamma", "negative-gamma"])
 def test_model_from_json_names_a_field_outside_its_domain(text, message):
     with pytest.raises(ValueError) as exc:

@@ -84,24 +84,24 @@ def test_config_validation():
         MomGdConfig(k=3, t=0)
     with pytest.raises(ValueError):
         FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), beta=0.0)
-    with pytest.raises(ValueError, match="k must be >= 1"):
+    with pytest.raises(ValueError, match="field 'k' must be >= 1, got 0"):
         FastKlrConfig(k=0, t=10, kernel=KernelSpec(kind="linear"))
-    with pytest.raises(ValueError, match="t must be >= 1"):
+    with pytest.raises(ValueError, match="field 't' must be >= 1, got 0"):
         FastKlrConfig(k=3, t=0, kernel=KernelSpec(kind="linear"))
     # the engines' config has no default kernel: train holds the only one
     with pytest.raises(TypeError, match="kernel"):
         FastKlrConfig(k=3, t=10)
     for kind, eta0 in (("inverse-t", math.inf), ("constant", math.inf),
                        ("constant", math.nan)):
-        with pytest.raises(ValueError, match="eta0 must be finite"):
+        with pytest.raises(ValueError, match="field 'eta0' must be finite and >=? 0"):
             StepSchedule(kind, eta0)
-    with pytest.raises(ValueError, match="beta must be finite"):
+    with pytest.raises(ValueError, match="field 'beta' must be finite and > 0, got Inf"):
         FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), beta=math.inf)
-    with pytest.raises(ValueError, match="beta must be positive"):
+    with pytest.raises(ValueError, match="field 'beta' must be finite and > 0, got NaN"):
         FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), beta=math.nan)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="field 'seed' must be >= 0, got -1"):
         MomGdConfig(k=3, t=10, seed=-1)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="field 'seed' must be >= 0, got -1"):
         FastKlrConfig(k=3, t=10, kernel=KernelSpec(kind="linear"), seed=-1)
 
 
@@ -653,9 +653,9 @@ def test_train_takes_its_options_by_name_only():
 
 
 def test_train_rejects_an_unknown_method_listing_methods():
-    with pytest.raises(ValueError, match="'svm'") as exc:
+    with pytest.raises(ValueError, match="field 'algo' must be one of .*, got \"svm\"$") as exc:
         train("svm", REPLAY_DATA, 8, 15)
-    assert all(method in str(exc.value) for method in METHODS)
+    assert all(json.dumps(method) in str(exc.value) for method in METHODS)
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -663,7 +663,8 @@ def test_train_rejects_an_unknown_method_listing_methods():
                          ids=["negative", "zero", "inf", "nan"])
 def test_train_refuses_a_beta_that_is_not_finite_and_positive(method, beta):
     # every method, also the linear ones that do not use beta
-    with pytest.raises(ValueError, match=f"beta must be finite and > 0, got {beta}"):
+    message = f"field 'beta' must be finite and > 0, got {json.dumps(beta)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         train(method, REPLAY_DATA, 8, 15, beta=beta)
 
 
@@ -672,17 +673,34 @@ _NOT_A_BANDWIDTH = 'field \'gamma\' must be a JSON number, "auto" or "median", g
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("option, value, message", [
-    ("gradient_mode", "bogus", "unknown gradient_mode 'bogus'"),
-    ("kernel", "poly", "unknown kernel kind 'poly'"),
+    ("gradient_mode", "bogus",
+     'field \'gradient_mode\' must be one of "mean", "sum", got "bogus"'),
+    ("kernel", "poly", 'field \'kernel\' must be one of "linear", "rbf", got "poly"'),
     ("gamma", "bogus", _NOT_A_BANDWIDTH + '"bogus"'),
     ("gamma", True, _NOT_A_BANDWIDTH + "true"),
     ("gamma", 0.0, "field 'gamma' must be finite and > 0, got 0.0"),
     ("gamma", math.inf, "field 'gamma' must be finite and > 0, got Infinity"),
-], ids=["gradient_mode", "kernel", "gamma-word", "gamma-bool", "gamma-zero", "gamma-inf"])
+    # neither may escape as json's TypeError or numpy's ambiguous truth value
+    ("gamma", 1j, _NOT_A_BANDWIDTH + '"1j"'),
+    ("gamma", np.array([0.5, 0.6]), _NOT_A_BANDWIDTH + "[0.5, 0.6]"),
+], ids=["gradient_mode", "kernel", "gamma-word", "gamma-bool", "gamma-zero", "gamma-inf",
+        "gamma-complex", "gamma-array"])
 def test_train_refuses_an_option_outside_its_rule(method, option, value, message):
     # every method, also those that do not use the option
     with pytest.raises(ValueError, match=re.escape(message)):
         train(method, REPLAY_DATA, 8, 15, **{option: value})
+
+
+def test_train_takes_numpy_integers_as_python_ones(tmp_path):
+    for method in ("mom-logistic", "fast-klr-mom"):
+        plain = train(method, REPLAY_DATA, 4, 6, seed=3, record_selections=True)
+        numpy = train(method, REPLAY_DATA, np.int64(4), np.int32(6), seed=np.uint8(3),
+                      record_selections=True)
+        assert model_to_json(numpy[0]) == model_to_json(plain[0])
+        for name, (_, trace) in (("plain", plain), ("numpy", numpy)):
+            trace.to_jsonl(tmp_path / f"{name}.jsonl")
+        assert ((tmp_path / "numpy.jsonl").read_bytes()
+                == (tmp_path / "plain.jsonl").read_bytes())
 
 
 def test_mom_objective_cases():
