@@ -15,41 +15,8 @@ Gram of both kernel engines, one scipy BLAS ``dsyrk``, depends on them.  The
 logistic function, ``losses.expit``, is computed with numpy's ``exp``, so its
 bits follow numpy's build and the CPU's SIMD support.
 
-Importing the package loads numpy alone; ``scipy.linalg`` loads the first
-time a kernel method runs.
+Each name imports from its module (``momclf.data``, ``momclf.optim``, ...),
+and the package itself exports none.  Importing a module loads numpy and
+the package modules it uses, no other library; ``scipy.linalg`` loads the
+first time a kernel method runs.
 """
-
-from momclf.data import (
-    Dataset,
-    Partition,
-    generate_gaussians,
-    generate_moons,
-    generate_toy,
-    load_csv,
-    random_equipartition,
-    write_csv,
-)
-from momclf.losses import LossKind, loss_grad_score, loss_value
-from momclf.mom import block_means, median_block_index, mom_estimate
-from momclf.model import KernelModel, KernelSpec, LinearModel, linear_score
-from momclf.optim import (
-    METHODS,
-    FastKlrConfig,
-    MomGdConfig,
-    StepSchedule,
-    TrainTrace,
-    fast_klr_mom_train,
-    klr_mom_train,
-    median_block_gradient_check,
-    mom_gd_train,
-    mom_objective,
-    train,
-)
-from momclf.outlier import (
-    SelectionCounts,
-    detection_metrics,
-    flag_outliers,
-    selection_counts,
-)
-
-__version__ = "0.1.0"

@@ -197,8 +197,7 @@ def _rate_generator(kind: str):
 
 def logistic_risk(model: LinearModel, ds: Dataset) -> float:
     """Empirical logistic risk (1/N) sum log(1 + exp(-y_i f(x_i)))."""
-    X, y = ds.training_arrays()
-    return float(np.mean(loss_value(LossKind.LOGISTIC, linear_score(model, X), y)))
+    return float(np.mean(loss_value(LossKind.LOGISTIC, linear_score(model, ds.X), ds.y)))
 
 
 def logistic_risk_minimizer(ds: Dataset) -> LinearModel:
@@ -208,7 +207,7 @@ def logistic_risk_minimizer(ds: Dataset) -> LinearModel:
     Raises NumericError if no minimizer is reached, as on linearly
     separable data, where the risk has none.
     """
-    X, y = ds.training_arrays()
+    X, y = ds.X, ds.y
     design = np.c_[X, np.ones(ds.n)]
 
     def risk(theta):

@@ -56,6 +56,14 @@ def _label_column(raw: str):
         return raw
 
 
+def _number_or_word(raw: str):
+    """The float a number's text spells, else the text, for a rule to judge."""
+    try:
+        return float(raw)
+    except ValueError:
+        return raw
+
+
 # Each option of ``train`` once: {name: (JSON kind, text type, help)}.  Its
 # flag is --name with "-" for "_", its config key the name and its default that
 # of ``optim.train``'s parameter.  A rule kind checks both the config's value
@@ -71,7 +79,7 @@ TRAIN_OPTIONS = {
                       "block-sum update (literal) or mean form"),
     "beta": (regularization, float, "kernel engines: regularization strength"),
     "kernel": (frozenset(KERNEL_KINDS), str, None),
-    "gamma": (bandwidth, str, "rbf bandwidth: positive float, 'auto' (1/p) or "
+    "gamma": (bandwidth, _number_or_word, "rbf bandwidth: positive float, 'auto' (1/p) or "
               "'median' (median heuristic)"),
     "seed": (seed, int, None),
 }

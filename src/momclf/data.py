@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from momclf._fields import fault, integer
+from momclf._fields import fault, integer, positive
 
 TOY_INLIER_VAR = 1.4          # per-coordinate variance of the informative Gaussians
 TOY_OUTLIER_MEAN = (24.0, 8.0)
@@ -33,8 +33,7 @@ class Dataset:
 
     X has shape (n, p), y has shape (n,) with entries exactly -1.0 or +1.0.
     ``is_outlier`` is a ground-truth flag array kept strictly outside the
-    training path: optimizers must go through :meth:`training_arrays`, which
-    exposes features and labels only.
+    training path: optimizers read X and y only.
     """
 
     X: np.ndarray
@@ -74,13 +73,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
-
-    def training_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The training-facing view: (X, y) and nothing else."""
-        return self.X, self.y
-
-    def __len__(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -188,6 +180,7 @@ def generate_moons(n: int, noise_sd: float, seed: int) -> Dataset:
     The arcs cross, so no linear classifier separates the classes.
     """
     integer("n", n, 2)
+    positive("noise_sd", noise_sd, zero=True)
     rng = np.random.default_rng(seed)
     n_up = n - n // 2
     n_lo = n // 2

@@ -94,14 +94,11 @@ class KernelSpec:
 
 # argparse names a bad flag value by its type's __name__: no leading underscore
 def bandwidth(value):
-    """An RBF bandwidth: "auto", "median" or a finite number > 0 or its text,
-    returned as a float.  The one bandwidth rule, of ``kernel_for``,
-    ``optim.train``, --gamma and a config."""
-    if isinstance(value, str):
-        if value in ("auto", "median"):
-            return value
-        with contextlib.suppress(ValueError):
-            value = float(value)
+    """An RBF bandwidth: "auto", "median" or a finite number > 0, returned as
+    a float.  The one bandwidth rule, of ``kernel_for``, ``optim.train``,
+    --gamma and a config; it reads no number from text."""
+    if isinstance(value, str) and value in ("auto", "median"):
+        return value
     return float(positive("gamma", value, expected='a JSON number, "auto" or "median"'))
 
 

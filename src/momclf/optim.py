@@ -283,7 +283,7 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
     (gradient through both the weights and the intercept).  The trace's
     final objective is the MOM risk of the result under one more draw.
     """
-    X, y = ds.training_arrays()
+    X, y = ds.X, ds.y
     n = ds.n
     if init.u.shape[0] != ds.p:
         raise ValueError("init dimension does not match the dataset")
@@ -312,8 +312,7 @@ def mom_gd_train(ds: Dataset, init: LinearModel, cfg: MomGdConfig):
 def mom_objective(ds: Dataset, m: LinearModel, partition: Partition,
                   loss: LossKind) -> float:
     """MOM estimate of the risk of ``m`` under the given fixed partition."""
-    X, y = ds.training_arrays()
-    return mom_estimate(loss_value(loss, X @ m.u + m.b, y), partition)
+    return mom_estimate(loss_value(loss, ds.X @ m.u + m.b, ds.y), partition)
 
 
 @dataclass(frozen=True)
@@ -336,7 +335,7 @@ def median_block_gradient_check(ds: Dataset, m: LinearModel,
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    X, y = ds.training_arrays()
+    X, y = ds.X, ds.y
     scores = X @ m.u + m.b
     means = block_means(loss_value(loss, scores, y), partition)
     k_med = median_block_index(means)
@@ -455,7 +454,7 @@ def fast_klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     block is scored against its own.  Returns (model, trace); the model's
     active block is the median block of the last step.
     """
-    X, y = ds.training_arrays()
+    X, y = ds.X, ds.y
     n = ds.n
     part_seed, part = next(_redrawn_partitions(n, cfg.k,
                                                np.random.default_rng(cfg.seed)))
@@ -487,7 +486,7 @@ def klr_mom_train(ds: Dataset, cfg: FastKlrConfig):
     kernel cost.  Same step loop as the fast variant; the model's partition
     is one block over all n points.
     """
-    X, y = ds.training_arrays()
+    X, y = ds.X, ds.y
     n = ds.n
     block_count(cfg.k, n)  # before the n x n Gram is built
     full = gram(cfg.kernel, X, np.arange(n))

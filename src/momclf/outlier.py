@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from momclf._fields import integer
 from momclf.data import Dataset
 from momclf.optim import TrainTrace
 
@@ -60,8 +61,7 @@ def flag_outliers(sc: SelectionCounts, threshold: int) -> np.ndarray:
     A threshold of 1 flags exactly the never-selected samples; larger
     thresholds flag supersets.
     """
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+    integer("threshold", threshold, 0)
     return np.flatnonzero(sc.counts < threshold)
 
 

@@ -121,7 +121,7 @@ def test_criterion_3_gradient_correctness():
 def _full_batch_descent(ds, t, schedule):
     """Oracle for criterion 4: t steps of plain full-batch gradient descent
     on the empirical logistic risk (1/N) sum of losses, from zero."""
-    X, y = ds.training_arrays()
+    X, y = ds.X, ds.y
     u, b = np.zeros(ds.p), 0.0
     for step in range(t):
         g = loss_grad_score(LossKind.LOGISTIC, X @ u + b, y)

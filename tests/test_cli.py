@@ -52,6 +52,15 @@ def test_generate_moons_and_gaussians(tmp_path):
         assert load_csv(out).n == 50
 
 
+def test_generate_refuses_a_bad_noise_sd_naming_it(tmp_path, capsys):
+    out = tmp_path / "moons.csv"
+    for noise_sd in ("nan", "-0.3"):
+        assert main(["generate", "--kind", "moons", "--noise-sd", noise_sd,
+                     "--output", str(out)]) == 1
+        assert "error: field 'noise_sd' must be finite and >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_predict_outlier_scores_round_trip(tmp_path):
     data = tmp_path / "toy.csv"
     model = tmp_path / "model.json"
@@ -410,6 +419,16 @@ def test_train_linear_algo_never_resolves_gamma(tmp_path, monkeypatch):
                  "--model", str(tmp_path / "m.json")]) == 0
 
 
+def test_train_reads_a_number_from_the_gamma_flag(tmp_path):
+    data = tmp_path / "d.csv"
+    main(["generate", "--kind", "toy", "--inliers", "40", "--outliers", "2",
+          "--seed", "1", "--output", str(data)])
+    model = tmp_path / "m.json"
+    assert main(["train", "--algo", "fast-klr-mom", "--k", "4", "--t", "5",
+                 "--gamma", "0.5", "--data", str(data), "--model", str(model)]) == 0
+    assert json.loads(model.read_text())["kernel"] == {"kind": "rbf", "gamma": 0.5}
+
+
 def test_train_config_file_with_flag_override(tmp_path):
     data = tmp_path / "d.csv"
     main(["generate", "--kind", "toy", "--inliers", "60", "--outliers", "4",
@@ -462,10 +481,14 @@ def test_train_without_a_method_names_the_flag_and_the_config_key(tmp_path, caps
     ('{"seed": null}', "config field 'seed' must be a JSON integer, got null"),
     ('{"bogus": 1}', "config has unknown keys ['bogus']"),
     ("{", "config is not JSON (Expecting property name"),
-    ('{"gamma": "inf"}', "config field 'gamma' must be finite and > 0, got Infinity"),
+    # a number's text is not a number: only the --gamma flag reads one from text
+    ('{"gamma": "inf"}', "config field 'gamma' must be a JSON number, \"auto\" or "
+                         "\"median\", got \"inf\""),
+    ('{"gamma": "0.5"}', "config field 'gamma' must be a JSON number, \"auto\" or "
+                         "\"median\", got \"0.5\""),
     ('{"gamma": 0}', "config field 'gamma' must be finite and > 0, got 0"),
 ], ids=["k-string", "t-float", "list", "gamma-bool", "gamma-word", "eta0-nan",
-        "seed-null", "unknown-key", "not-json", "gamma-inf", "gamma-zero"])
+        "seed-null", "unknown-key", "not-json", "gamma-inf", "gamma-text", "gamma-zero"])
 def test_train_config_names_the_path_and_key_of_a_bad_value(tmp_path, capsys,
                                                            config, message):
     data = tmp_path / "d.csv"
@@ -560,6 +583,7 @@ _BAD_VALUES = [
     ("gamma", 0.0, "be finite and > 0"),
     ("gamma", -1, "be finite and > 0"),
     ("gamma", "wide", 'be a JSON number, "auto" or "median"'),
+    ("gamma", "0.5", 'be a JSON number, "auto" or "median"'),
     ("gamma", True, 'be a JSON number, "auto" or "median"'),
     ("seed", -1, "be >= 0"),
     ("seed", 1.5, "be a JSON integer"),
@@ -824,6 +848,15 @@ def test_cli_loads_scipy_linalg_only_for_a_kernel_method(tmp_path):
     # A fresh interpreter: this one has scipy loaded by the other tests
     code = textwrap.dedent("""
         import sys
+
+        def added(name):
+            before = set(sys.modules)
+            __import__(name)
+            return sorted(m for m in set(sys.modules) - before if m.startswith("momclf"))
+
+        # the package exports nothing, and a module loads only what it uses
+        assert added("momclf") == ["momclf"]
+        assert added("momclf.data") == ["momclf._fields", "momclf.data"]
         import momclf.cli
 
         def loaded():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -29,7 +30,7 @@ def test_dataset_invariants():
     with pytest.raises(ValueError):
         Dataset(X=np.array([[np.nan, 0.0]]), y=np.array([1.0]))
     ds = Dataset(X=np.zeros((3, 2)), y=np.array([1.0, -1.0, 1.0]))
-    assert ds.n == 3 and ds.p == 2 and len(ds) == 3
+    assert ds.n == 3 and ds.p == 2
 
 
 @pytest.mark.parametrize("shape", [(6, 0), (0, 2)], ids=["no-columns", "no-rows"])
@@ -54,12 +55,6 @@ def test_dataset_reads_boolean_and_01_outlier_flags(flags):
     ds = Dataset(X=np.zeros((2, 1)), y=np.array([1.0, -1.0]), is_outlier=flags)
     assert ds.is_outlier.dtype == bool
     assert ds.is_outlier.tolist() == [True, False]
-
-
-def test_training_arrays_exclude_flags():
-    ds = generate_toy(10, 2, 0)
-    X, y = ds.training_arrays()
-    assert X.shape == (12, 2) and y.shape == (12,)
 
 
 def test_toy_counts_and_flags():
@@ -118,6 +113,17 @@ def test_moons_noiseless_first_parameter_points():
     assert pts == {(1.0, 0.0), (2.0, -0.5)}
     up = ds.X[ds.y == 1.0][0]
     assert tuple(np.round(up, 12)) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("noise_sd, rule", [
+    (math.nan, "be finite and >= 0, got NaN"),
+    (math.inf, "be finite and >= 0, got Infinity"),
+    (-0.3, "be finite and >= 0, got -0.3"),
+    (True, "be a JSON number, got true"),
+], ids=["nan", "inf", "negative", "bool"])
+def test_moons_refuses_a_noise_sd_that_is_not_finite_and_non_negative(noise_sd, rule):
+    with pytest.raises(ValueError, match=re.escape(f"field 'noise_sd' must {rule}")):
+        generate_moons(10, noise_sd, 1)
 
 
 def test_moons_arcs_have_unit_radius():

@@ -120,8 +120,11 @@ def test_kernel_spec_refuses_an_rbf_gamma_that_is_not_finite_and_positive(gamma)
 def test_kernel_for_applies_the_bandwidth_rule(gamma, rule):
     with pytest.raises(ValueError, match=re.escape(f"field 'gamma' must {rule}")):
         kernel_for(np.zeros((3, 2)), "rbf", gamma)
-    # the rule reads a number from its text, as the --gamma flag does
-    assert bandwidth("0.5") == 0.5 and type(bandwidth(2)) is float
+    # the rule reads no number from text: the --gamma flag converts its own
+    with pytest.raises(ValueError, match=re.escape(
+            'field \'gamma\' must be a JSON number, "auto" or "median", got "0.5"')):
+        bandwidth("0.5")
+    assert type(bandwidth(2)) is float
 
 
 def test_kernel_for_resolves_each_bandwidth_once():

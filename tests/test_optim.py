@@ -599,7 +599,7 @@ def test_erm_is_bitwise_independent_of_seed_and_k():
                            seed=seed, gradient_mode="sum")
         assert out.u.tobytes() == ref.u.tobytes() and out.b == ref.b
         assert trace.final_objective == ref_trace.final_objective
-    X, y = REPLAY_DATA.training_arrays()
+    X, y = REPLAY_DATA.X, REPLAY_DATA.y
     # with one block the trace's final objective is the empirical risk
     assert ref_trace.final_objective == pytest.approx(
         float(np.mean(loss_value(LossKind.LOGISTIC, X @ ref.u + ref.b, y))),
@@ -677,14 +677,15 @@ _NOT_A_BANDWIDTH = 'field \'gamma\' must be a JSON number, "auto" or "median", g
      'field \'gradient_mode\' must be one of "mean", "sum", got "bogus"'),
     ("kernel", "poly", 'field \'kernel\' must be one of "linear", "rbf", got "poly"'),
     ("gamma", "bogus", _NOT_A_BANDWIDTH + '"bogus"'),
+    ("gamma", "0.5", _NOT_A_BANDWIDTH + '"0.5"'),
     ("gamma", True, _NOT_A_BANDWIDTH + "true"),
     ("gamma", 0.0, "field 'gamma' must be finite and > 0, got 0.0"),
     ("gamma", math.inf, "field 'gamma' must be finite and > 0, got Infinity"),
     # neither may escape as json's TypeError or numpy's ambiguous truth value
     ("gamma", 1j, _NOT_A_BANDWIDTH + '"1j"'),
     ("gamma", np.array([0.5, 0.6]), _NOT_A_BANDWIDTH + "[0.5, 0.6]"),
-], ids=["gradient_mode", "kernel", "gamma-word", "gamma-bool", "gamma-zero", "gamma-inf",
-        "gamma-complex", "gamma-array"])
+], ids=["gradient_mode", "kernel", "gamma-word", "gamma-text", "gamma-bool", "gamma-zero",
+        "gamma-inf", "gamma-complex", "gamma-array"])
 def test_train_refuses_an_option_outside_its_rule(method, option, value, message):
     # every method, also those that do not use the option
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -790,7 +791,7 @@ def expected_mom_objective(ds, m, k, loss, n_mc=300, seed=0):
     ``mom_objective`` averaged over ``n_mc`` independent uniform random
     equipartitions."""
     rng = np.random.default_rng(seed)
-    X, y = ds.training_arrays()
+    X, y = ds.X, ds.y
     losses = loss_value(loss, X @ m.u + m.b, y)
     total = 0.0
     for _ in range(n_mc):
@@ -1123,7 +1124,7 @@ def _exact_score_klr(ds, cfg, fast):
     step: per-block products for the fast engine, G @ alpha for the full
     one.  Returns (alpha, k_med per step, objective per step, final
     objective)."""
-    X, y = ds.training_arrays()
+    X, y = ds.X, ds.y
     partitions = _redrawn_partitions(ds.n, cfg.k, np.random.default_rng(cfg.seed))
     if fast:
         part = next(partitions)[1]

@@ -59,8 +59,10 @@ def test_flag_outliers_thresholds():
     assert flag_outliers(sc, 0).size == 0
     assert np.array_equal(flag_outliers(sc, 1), [0, 3])
     assert np.array_equal(flag_outliers(sc, 8), [0, 1, 2, 3, 4])
-    with pytest.raises(ValueError):
-        flag_outliers(sc, -1)
+    for threshold, rule in ((-1, "be >= 0, got -1"), (0.5, "be a JSON integer, got 0.5"),
+                            (True, "be a JSON integer, got true")):
+        with pytest.raises(ValueError, match=f"field 'threshold' must {rule}$"):
+            flag_outliers(sc, threshold)
 
 
 def test_flag_outliers_monotone_in_threshold():
